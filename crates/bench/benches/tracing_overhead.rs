@@ -1,10 +1,9 @@
 //! PR6 — flight-recorder overhead: the same compiled workflows timed
 //! with tracing fully off, with metrics only, and with the tracer
-//! recording every plan operator into the ring; plus the adaptive
-//! parallelism guard (serial vs `parallelism=4` under the guard) and
-//! the per-span idle cost of a disabled tracer. Variants are sampled
-//! interleaved (round-robin) so clock drift and cache warmth hit every
-//! variant equally. Emits `[PR6] scenario=… median_ns=…` lines for
+//! recording every plan operator into the ring; plus the per-span idle
+//! cost of a disabled tracer. Variants are sampled interleaved
+//! (round-robin) so clock drift and cache warmth hit every variant
+//! equally. Emits `[PR6] scenario=… median_ns=…` lines for
 //! `scripts/bench_pr6.py`.
 
 // Benches are measurement harnesses, not library code: aborting on a
@@ -14,38 +13,9 @@
 use std::time::Instant;
 
 use cr_bench::fixtures::campus;
-use cr_flexrecs::compile::compile_and_run_with;
+use cr_flexrecs::compile::compile_and_run;
 use cr_flexrecs::templates::{self, SchemaMap};
 use cr_obs::trace;
-use cr_relation::ExecOptions;
-
-/// Round-robin sampling: one sample of each variant per round. Returns
-/// `(medians, mins)` per variant. Interleaving keeps paired scenarios
-/// comparable on a noisy host; the min is the robust estimator for
-/// identical code paths (noise only ever inflates a sample, so mins
-/// converge to the true floor).
-fn interleaved_stats<const K: usize>(
-    iters: usize,
-    fs: &mut [&mut dyn FnMut(); K],
-) -> ([u128; K], [u128; K]) {
-    let mut samples: [Vec<u128>; K] = std::array::from_fn(|_| Vec::with_capacity(iters));
-    for f in fs.iter_mut() {
-        f(); // warmup round, untimed
-    }
-    for _ in 0..iters {
-        for (k, f) in fs.iter_mut().enumerate() {
-            let t0 = Instant::now();
-            f();
-            samples[k].push(t0.elapsed().as_nanos());
-        }
-    }
-    let medians = std::array::from_fn(|k| {
-        samples[k].sort_unstable();
-        samples[k][samples[k].len() / 2]
-    });
-    let mins = std::array::from_fn(|k| samples[k][0]);
-    (medians, mins)
-}
 
 /// Median per-span cost of opening+dropping a child span, over `rounds`
 /// batches of `batch` spans.
@@ -71,15 +41,6 @@ fn main() {
     println!("[PR6] corpus {}", stats.summary());
     let catalog = db.catalog();
     let map = SchemaMap::default();
-    let serial = ExecOptions::default();
-    // Parallelism requested but left to the adaptive guard: on a
-    // single-CPU host (or tiny inputs) execution must fall back to the
-    // serial path, so par4 may never lose to serial.
-    let par = ExecOptions {
-        parallelism: 4,
-        min_partition_rows: 64,
-        ..ExecOptions::default()
-    };
 
     let workflows = [
         ("user_cf", templates::user_cf(&map, 1, 10, 20, 2, true)),
@@ -93,8 +54,6 @@ fn main() {
         ),
     ];
 
-    println!("[PR6] host_cpus={}", cr_relation::exec::host_parallelism());
-
     for (name, wf) in &workflows {
         // --- tracing overhead: plain vs metrics vs traced, interleaved.
         cr_obs::disable();
@@ -102,7 +61,7 @@ fn main() {
         trace::set_slow_query_threshold(None);
 
         let run = || {
-            std::hint::black_box(compile_and_run_with(wf, &catalog, &serial).unwrap());
+            std::hint::black_box(compile_and_run(wf, &catalog).unwrap());
         };
         // Interleave manually: the gate flips are part of each sample's
         // setup, outside the timed region.
@@ -137,23 +96,6 @@ fn main() {
         println!("[PR6] scenario=workflow_exec_{name}_plain median_ns={p}");
         println!("[PR6] scenario=workflow_exec_{name}_metrics median_ns={m}");
         println!("[PR6] scenario=workflow_exec_{name}_traced median_ns={t}");
-
-        // --- adaptive guard payoff: serial vs guarded par4, interleaved.
-        let mut run_serial = || {
-            std::hint::black_box(compile_and_run_with(wf, &catalog, &serial).unwrap());
-        };
-        let mut run_par = || {
-            std::hint::black_box(compile_and_run_with(wf, &catalog, &par).unwrap());
-        };
-        let pair_iters = if smoke { 1 } else { 13 };
-        let (medians, mins) = interleaved_stats(pair_iters, &mut [&mut run_serial, &mut run_par]);
-        let [s_ns, p_ns] = medians;
-        println!("[PR6] scenario=workflow_exec_{name}_plan median_ns={s_ns}");
-        println!("[PR6] scenario=workflow_exec_{name}_plan_par4 median_ns={p_ns}");
-        // Floor estimates for the payoff ratio (see interleaved_stats).
-        let [s_min, p_min] = mins;
-        println!("[PR6] scenario=workflow_exec_{name}_plan min_ns={s_min}");
-        println!("[PR6] scenario=workflow_exec_{name}_plan_par4 min_ns={p_min}");
     }
 
     // --- idle span cost: a disabled tracer must be near-free.

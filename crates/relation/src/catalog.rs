@@ -625,7 +625,6 @@ impl CatalogSnapshot {
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     catalog: Catalog,
-    exec_opts: exec::ExecOptions,
 }
 
 impl Database {
@@ -636,28 +635,7 @@ impl Database {
     /// Wrap an existing catalog (crash recovery hands back a catalog
     /// rebuilt from snapshot + WAL; this puts the SQL/plan facade on it).
     pub fn from_catalog(catalog: Catalog) -> Self {
-        Database {
-            catalog,
-            exec_opts: exec::ExecOptions::default(),
-        }
-    }
-
-    /// Builder-style: set the default [`exec::ExecOptions`] used by every
-    /// plan/query entry point on this handle. Clones made afterwards keep
-    /// the options; the shared catalog data is unaffected.
-    pub fn with_exec_options(mut self, opts: exec::ExecOptions) -> Self {
-        self.exec_opts = opts;
-        self
-    }
-
-    /// Set the default worker count for parallel operators (1 = serial).
-    pub fn set_parallelism(&mut self, parallelism: usize) {
-        self.exec_opts.parallelism = parallelism.max(1);
-    }
-
-    /// The execution options this handle applies by default.
-    pub fn exec_options(&self) -> exec::ExecOptions {
-        self.exec_opts
+        Database { catalog }
     }
 
     /// The underlying catalog (cheap clone; shares data).
@@ -666,15 +644,10 @@ impl Database {
     }
 
     /// Pin a cross-table-consistent snapshot and wrap it in a read-only
-    /// `Database` that keeps this handle's execution options. See
-    /// [`Catalog::snapshot`].
+    /// `Database`. See [`Catalog::snapshot`].
     pub fn snapshot(&self) -> (Database, CatalogSnapshot) {
         let snap = self.catalog.snapshot();
-        let db = Database {
-            catalog: snap.catalog(),
-            exec_opts: self.exec_opts,
-        };
-        (db, snap)
+        (Database::from_catalog(snap.catalog()), snap)
     }
 
     /// True if this handle wraps a frozen [`CatalogSnapshot`].
@@ -690,7 +663,7 @@ impl Database {
 
     /// Execute a SQL query (errors if the statement is not a SELECT).
     pub fn query_sql(&self, text: &str) -> RelResult<ResultSet> {
-        self.query_sql_with(text, &self.exec_opts)
+        sql::query(text, &self.catalog)
     }
 
     /// [`Database::query_sql`] with explicit execution options.
@@ -736,17 +709,8 @@ impl Database {
 
     /// Run a logical plan (optimizing first).
     pub fn run_plan(&self, plan: &LogicalPlan) -> RelResult<ResultSet> {
-        self.run_plan_with(plan, &self.exec_opts)
-    }
-
-    /// [`Database::run_plan`] with explicit execution options.
-    pub fn run_plan_with(
-        &self,
-        plan: &LogicalPlan,
-        opts: &exec::ExecOptions,
-    ) -> RelResult<ResultSet> {
         let optimized = optimizer::optimize(plan.clone());
-        exec::execute_with(&optimized, &self.catalog, opts)
+        exec::execute(&optimized, &self.catalog)
     }
 
     /// Run a logical plan (optimizing first) with per-operator profiling.
@@ -755,7 +719,7 @@ impl Database {
         plan: &LogicalPlan,
     ) -> RelResult<(ResultSet, crate::profile::OpProfile)> {
         let optimized = optimizer::optimize(plan.clone());
-        exec::execute_instrumented_with(&optimized, &self.catalog, &self.exec_opts)
+        exec::execute_instrumented(&optimized, &self.catalog)
     }
 
     /// `EXPLAIN ANALYZE` for a SQL query: executes it with per-operator
@@ -765,23 +729,13 @@ impl Database {
         &self,
         text: &str,
     ) -> RelResult<(ResultSet, crate::profile::OpProfile)> {
-        self.explain_analyze_sql_with(text, &self.exec_opts)
-    }
-
-    /// [`Database::explain_analyze_sql`] with explicit execution options:
-    /// parallel operators annotate `partitions=N` plus per-partition times.
-    pub fn explain_analyze_sql_with(
-        &self,
-        text: &str,
-        opts: &exec::ExecOptions,
-    ) -> RelResult<(ResultSet, crate::profile::OpProfile)> {
         let plan = sql::plan_query(text, &self.catalog)?;
-        exec::execute_instrumented_with(&plan, &self.catalog, opts)
+        exec::execute_instrumented(&plan, &self.catalog)
     }
 
     /// Run a logical plan exactly as given (for optimizer A/B tests).
     pub fn run_plan_unoptimized(&self, plan: &LogicalPlan) -> RelResult<ResultSet> {
-        exec::execute_with(plan, &self.catalog, &self.exec_opts)
+        exec::execute(plan, &self.catalog)
     }
 
     /// Insert a row programmatically.
@@ -974,35 +928,50 @@ mod tests {
 
     #[test]
     fn snapshot_is_a_consistent_cut_across_tables() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
         use std::thread;
+        use std::time::{Duration, Instant};
+        /// Row pairs the writer must commit while snapshots are taken, so
+        /// the torn-cut check really overlaps writes.
+        const MIN_PAIRS: u64 = 64;
         let db = Database::new();
         db.execute_sql("CREATE TABLE a (id INT PRIMARY KEY)")
             .unwrap();
         db.execute_sql("CREATE TABLE b (id INT PRIMARY KEY)")
             .unwrap();
         let stop = Arc::new(AtomicBool::new(false));
+        let committed = Arc::new(AtomicU64::new(0));
         // Writer invariant: a row lands in `b` strictly before its twin
         // lands in `a`, so in any atomic cut len(b) >= len(a).
         let writer = {
             let db = db.clone();
             let stop = Arc::clone(&stop);
+            let committed = Arc::clone(&committed);
             thread::spawn(move || {
                 let mut i = 0i64;
                 while !stop.load(Ordering::Relaxed) {
                     db.insert("b", row![i]).unwrap();
                     db.insert("a", row![i]).unwrap();
                     i += 1;
+                    committed.store(i as u64, Ordering::Release);
                 }
                 i
             })
         };
-        for _ in 0..200 {
+        // Snapshot until the writer has committed MIN_PAIRS pairs (and at
+        // least 200 times), bounded in time so a stalled writer fails the
+        // progress assert below instead of hanging the suite.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut taken = 0;
+        while (taken < 200 || committed.load(Ordering::Acquire) < MIN_PAIRS)
+            && Instant::now() < deadline
+        {
             let snap = db.catalog().snapshot();
             let a = snap.catalog().table_len("a").unwrap();
             // Deliberately read the tables in the hazardous order.
             let b = snap.catalog().table_len("b").unwrap();
             assert!(b >= a, "torn snapshot: len(a)={a} > len(b)={b}");
+            taken += 1;
         }
         stop.store(true, Ordering::Relaxed);
         let n = writer.join().unwrap();

@@ -1,6 +1,6 @@
 //! Physical execution.
 //!
-//! Two executors share this module:
+//! One production executor and one reference share this module:
 //!
 //! * The **vectorized executor** (`batch_size > 0`, the default): operators
 //!   exchange columnar [`Batch`]es. Scans hand out the table's cached
@@ -11,12 +11,14 @@
 //!   scan→filter→project chain is one fused pass with no per-row
 //!   dispatch. Joins build/probe over column views, aggregation feeds
 //!   column slices into the shared [`AggState`] machinery, sort and limit
-//!   permute/truncate the selection vector.
+//!   permute/truncate the selection vector. A single walker serves both
+//!   plain and profiled runs: profiling (EXPLAIN ANALYZE, operator spans,
+//!   slow-query capture) is an optional sink, and without it the walker
+//!   reads no clock and formats nothing per node.
 //!
-//! * The **row executor** (`batch_size == 0`): the original pull pipeline
-//!   of `Vec<Row>` operators. It is retained as the differential oracle
-//!   (see `tests/batch_differential.rs`) and as the only path with
-//!   partition-parallel operators.
+//! * The **row executor** (`batch_size == 0`): the original serial pull
+//!   pipeline of `Vec<Row>` operators, kept as the differential reference
+//!   (see `tests/batch_differential.rs`). It is never profiled or traced.
 //!
 //! Both paths produce byte-identical results. Scans pick an **access
 //! path** at runtime: if the pushed-down predicate contains an equality
@@ -55,11 +57,8 @@ struct RelMetrics {
     scan_pk: Arc<cr_obs::Counter>,
     scan_index_eq: Arc<cr_obs::Counter>,
     scan_index_range: Arc<cr_obs::Counter>,
-    parallel_ops: Arc<cr_obs::Counter>,
-    partitions_spawned: Arc<cr_obs::Counter>,
-    adaptive_fallbacks: Arc<cr_obs::Counter>,
     // Per-operator-kind latency histograms (`relation.op.<kind>_ns`),
-    // pre-resolved so the profiled executor never takes the registry
+    // pre-resolved so a profiled run never takes the registry
     // lock per node — it already measured the elapsed time, recording
     // is one atomic bump.
     op_scan_ns: Arc<cr_obs::Histogram>,
@@ -106,9 +105,6 @@ fn metrics() -> &'static RelMetrics {
             scan_pk: r.counter("relation.scan.pk_lookup"),
             scan_index_eq: r.counter("relation.scan.index_eq"),
             scan_index_range: r.counter("relation.scan.index_range"),
-            parallel_ops: r.counter("relation.parallel.ops"),
-            partitions_spawned: r.counter("relation.parallel.partitions_spawned"),
-            adaptive_fallbacks: r.counter("relation.parallel.adaptive_fallbacks"),
             op_scan_ns: r.histogram("relation.op.scan_ns"),
             op_filter_ns: r.histogram("relation.op.filter_ns"),
             op_project_ns: r.histogram("relation.op.project_ns"),
@@ -125,224 +121,22 @@ fn metrics() -> &'static RelMetrics {
 }
 
 // ---------------------------------------------------------------------
-// Execution options + partition plumbing
+// Execution options
 // ---------------------------------------------------------------------
 
 /// Knobs for physical execution.
-///
-/// With `parallelism > 1`, scans, filters, projections, hash joins, and
-/// aggregations split their input across up to that many scoped worker
-/// threads (the vendored `crossbeam::thread::scope`). Every parallel
-/// operator reassembles its partitions deterministically, so output row
-/// order is identical to the serial path; the only permitted divergence
-/// is last-ulp float summation order in SUM/AVG partials (see DESIGN.md).
-///
-/// `min_partition_rows` is the per-worker input floor: an operator stays
-/// serial unless each spawned partition would receive at least this many
-/// rows, so thread spawn cost never dominates small operators. Tests can
-/// set it to 1 to force parallel execution on tiny inputs.
-///
-/// With `adaptive` on (the default), an operator also stays serial when
-/// the host has a single CPU — partitioning there is pure overhead (the
-/// partitions time-slice one core), observed as parallel "speedups" of
-/// 0.4–0.8× on 1-CPU machines. Tests that assert on partitioned
-/// execution regardless of the host set `adaptive: false`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    pub parallelism: usize,
-    pub min_partition_rows: usize,
-    /// Fall back to serial execution when parallelism cannot pay off
-    /// (single-CPU host, sub-floor input). The decision is surfaced in
-    /// EXPLAIN ANALYZE and as a span attribute.
-    pub adaptive: bool,
     /// Rows per expression-kernel invocation on the vectorized executor
-    /// (the default path). `0` selects the row-at-a-time executor — the
-    /// differential oracle, and the only path that honors partitioned
-    /// parallelism (`parallelism`/`min_partition_rows` apply there;
-    /// the vectorized path runs each operator serially and records the
-    /// adaptive decision instead).
+    /// (the default path). `0` selects the serial row-at-a-time
+    /// executor, the differential reference.
     pub batch_size: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            parallelism: 1,
-            min_partition_rows: 2048,
-            adaptive: true,
-            batch_size: 1024,
-        }
+        ExecOptions { batch_size: 1024 }
     }
-}
-
-/// Cached `std::thread::available_parallelism()` (1 when unknown).
-pub fn host_parallelism() -> usize {
-    static H: OnceLock<usize> = OnceLock::new();
-    *H.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-impl ExecOptions {
-    /// Options with the given worker count and the default partition floor.
-    pub fn with_parallelism(parallelism: usize) -> Self {
-        ExecOptions {
-            parallelism: parallelism.max(1),
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Worker count for an operator over `rows` input rows: capped so each
-    /// partition gets at least `min_partition_rows`, and forced to 1 by
-    /// the adaptive guard on single-CPU hosts. 1 means "stay serial".
-    fn threads_for(&self, rows: usize) -> usize {
-        if self.parallelism <= 1 || (self.adaptive && host_parallelism() == 1) {
-            return 1;
-        }
-        self.parallelism
-            .min(rows / self.min_partition_rows.max(1))
-            .max(1)
-    }
-
-    /// Why a parallel-eligible operator over `rows` input rows will stay
-    /// serial under these options, if it will. `None` either means "it
-    /// parallelizes" or "the caller asked for serial" (not a fallback).
-    pub fn fallback_reason(&self, rows: usize) -> Option<&'static str> {
-        if self.parallelism <= 1 {
-            return None;
-        }
-        if self.adaptive && host_parallelism() == 1 {
-            return Some("parallel=skipped(single_cpu)");
-        }
-        if self.parallelism.min(rows / self.min_partition_rows.max(1)) <= 1 {
-            return Some("parallel=skipped(small_input)");
-        }
-        None
-    }
-}
-
-/// Per-partition accounting from one parallel operator, surfaced in
-/// EXPLAIN ANALYZE (`partitions=N` + per-partition wall times) and in the
-/// `relation.parallel.*` counters.
-struct ParInfo {
-    partition_ns: Vec<u64>,
-}
-
-impl ParInfo {
-    fn record(partition_ns: Vec<u64>) -> ParInfo {
-        if cr_obs::enabled() {
-            let m = metrics();
-            m.parallel_ops.inc();
-            m.partitions_spawned.add(partition_ns.len() as u64);
-        }
-        ParInfo { partition_ns }
-    }
-
-    fn detail(&self) -> Vec<String> {
-        let times: Vec<String> = self
-            .partition_ns
-            .iter()
-            .map(|ns| format!("{:.3}ms", *ns as f64 / 1e6))
-            .collect();
-        vec![
-            format!("partitions={}", self.partition_ns.len()),
-            format!("partition_times=[{}]", times.join(",")),
-        ]
-    }
-}
-
-fn push_par_detail(detail: &mut Vec<String>, info: &Option<ParInfo>) {
-    if let Some(info) = info {
-        detail.extend(info.detail());
-    }
-}
-
-/// EXPLAIN / span note when a parallel-eligible operator stayed serial
-/// under the adaptive guard (single-CPU host or sub-floor input).
-fn push_adaptive_detail(
-    detail: &mut Vec<String>,
-    opts: &ExecOptions,
-    rows_in: usize,
-    par: &Option<ParInfo>,
-) {
-    if par.is_none() {
-        if let Some(reason) = opts.fallback_reason(rows_in) {
-            if cr_obs::enabled() {
-                metrics().adaptive_fallbacks.inc();
-            }
-            detail.push(reason.to_owned());
-        }
-    }
-}
-
-/// Split an owned vec into `parts` contiguous chunks (sizes differ by at
-/// most one) using pointer-moving `split_off`s — no per-row copying.
-fn split_owned<T>(mut v: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let len = v.len();
-    let mut out = Vec::with_capacity(parts);
-    for p in (1..parts).rev() {
-        out.push(v.split_off(p * len / parts));
-    }
-    out.push(v);
-    out.reverse();
-    out
-}
-
-/// Run `work` over each chunk on its own scoped thread, timing each
-/// worker, and return the per-chunk results in chunk order (first error
-/// in chunk order wins) plus the recorded [`ParInfo`].
-///
-/// This is the single choke point for every parallel operator, so it is
-/// also where cross-thread trace linkage happens: the spawning thread's
-/// current span becomes the parent of one `partition` span per worker.
-fn run_partitioned<T, R>(
-    chunks: Vec<T>,
-    work: impl Fn(T) -> RelResult<R> + Sync,
-) -> RelResult<(Vec<R>, ParInfo)>
-where
-    T: Send,
-    R: Send,
-{
-    let work = &work;
-    let parent = if cr_obs::trace::enabled() {
-        cr_obs::trace::current_context()
-    } else {
-        None
-    };
-    let joined: Vec<(RelResult<R>, u64)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(i, chunk)| {
-                s.spawn(move |_| {
-                    let mut span = match parent {
-                        Some(ctx) => cr_obs::trace::TraceSpan::child_of(ctx, "partition"),
-                        None => cr_obs::trace::TraceSpan::noop(),
-                    };
-                    if span.is_recording() {
-                        span.attr("partition", i.to_string());
-                    }
-                    let t0 = Instant::now();
-                    let r = work(chunk);
-                    (r, t0.elapsed().as_nanos() as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
-    .expect("partition scope");
-    let mut results = Vec::with_capacity(joined.len());
-    let mut partition_ns = Vec::with_capacity(joined.len());
-    for (r, ns) in joined {
-        results.push(r?);
-        partition_ns.push(ns);
-    }
-    Ok((results, ParInfo::record(partition_ns)))
 }
 
 /// A fully materialized query result.
@@ -436,19 +230,20 @@ pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> RelResult<ResultSet> {
     execute_with(plan, catalog, &ExecOptions::default())
 }
 
-/// [`execute`] with explicit [`ExecOptions`] (parallel partitioned
-/// operators when `opts.parallelism > 1`). Results are row-for-row
-/// identical to the serial path regardless of the options.
+/// [`execute`] with explicit [`ExecOptions`]. Results are row-for-row
+/// identical whichever executor the options select.
 pub fn execute_with(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
 ) -> RelResult<ResultSet> {
-    // Tracing and slow-query capture need the profiled executor (spans
-    // and EXPLAIN ANALYZE trees are per-node); route through it when
-    // either is armed. Both checks are one relaxed load.
-    if cr_obs::trace::enabled() || cr_obs::trace::slow_query_threshold_ns().is_some() {
-        return execute_traced_with(plan, catalog, opts);
+    // Tracing and slow-query capture need per-node profiles (spans and
+    // EXPLAIN ANALYZE trees); route through the profiled run when either
+    // is armed. Both checks are one relaxed load.
+    if opts.batch_size > 0
+        && (cr_obs::trace::enabled() || cr_obs::trace::slow_query_threshold_ns().is_some())
+    {
+        return execute_instrumented_with(plan, catalog, opts).map(|(rs, _)| rs);
     }
     let started = if cr_obs::enabled() {
         Some(Instant::now())
@@ -456,9 +251,9 @@ pub fn execute_with(
         None
     };
     let rows = if opts.batch_size > 0 {
-        run_batched(plan, catalog, opts)?.to_rows()
+        run_batched(plan, catalog, opts, None)?.to_rows()
     } else {
-        run(plan, catalog, opts)?.into_owned()
+        run(plan, catalog)?.into_owned()
     };
     if let Some(t0) = started {
         let m = metrics();
@@ -482,50 +277,12 @@ fn maybe_capture_slow(label: &str, fingerprint: u64, elapsed_ns: u64, profile: &
     }
 }
 
-/// [`execute_with`] under tracing: one `relation.query` span over the
-/// whole request (operator and partition spans nest below it via
-/// [`run_profiled`]), plus slow-query capture with the plan fingerprint
-/// and the full EXPLAIN ANALYZE tree.
-fn execute_traced_with(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<ResultSet> {
-    let mut span = cr_obs::trace::TraceSpan::child("relation.query");
-    let t0 = Instant::now();
-    let (rows, profile) = if opts.batch_size > 0 {
-        let (batch, profile) = run_batched_profiled(plan, catalog, opts)?;
-        (batch.to_rows(), profile)
-    } else {
-        let (rows, profile) = run_profiled(plan, catalog, opts)?;
-        (rows.into_owned(), profile)
-    };
-    let elapsed = t0.elapsed();
-    if cr_obs::enabled() {
-        let m = metrics();
-        m.queries.inc();
-        m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(elapsed);
-    }
-    let fingerprint = plan.fingerprint();
-    let elapsed_ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-    if span.is_recording() {
-        span.attr("rows_out", rows.len().to_string());
-        span.attr("fingerprint", format!("{fingerprint:016x}"));
-    }
-    maybe_capture_slow("relation.query", fingerprint, elapsed_ns, &profile);
-    Ok(ResultSet {
-        schema: plan.schema().clone(),
-        rows,
-    })
-}
-
 /// Execute a plan with per-operator profiling: every physical operator is
-/// wrapped with rows-in/rows-out/elapsed accounting and the access path
-/// it chose, yielding an `EXPLAIN ANALYZE`-style [`OpProfile`] tree next
-/// to the normal [`ResultSet`]. Profiling cost is per plan *node* (one
-/// clock read each), not per row, so it stays within a few percent of
-/// [`execute`] — the `instrumentation_overhead` bench pins this down.
+/// wrapped with rows-out/elapsed accounting and the access path it chose,
+/// yielding an `EXPLAIN ANALYZE`-style [`OpProfile`] tree next to the
+/// normal [`ResultSet`]. Profiling cost is per plan *node* (one clock read
+/// each), not per row, so it stays within a few percent of [`execute`] —
+/// the `instrumentation_overhead` bench pins this down.
 pub fn execute_instrumented(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -533,9 +290,13 @@ pub fn execute_instrumented(
     execute_instrumented_with(plan, catalog, &ExecOptions::default())
 }
 
-/// [`execute_instrumented`] with explicit [`ExecOptions`]: parallel
-/// operators additionally annotate their profile node with
-/// `partitions=N` and per-partition wall times.
+/// [`execute_instrumented`] with explicit [`ExecOptions`], under one
+/// `relation.query` span (operator spans nest below it) plus slow-query
+/// capture with the plan fingerprint and the full EXPLAIN ANALYZE tree.
+///
+/// Profiling instruments the vectorized walker only: the row reference
+/// has no profiled form, so a `batch_size` of 0 here runs the vectorized
+/// walker in one-row chunks.
 pub fn execute_instrumented_with(
     plan: &LogicalPlan,
     catalog: &Catalog,
@@ -543,13 +304,9 @@ pub fn execute_instrumented_with(
 ) -> RelResult<(ResultSet, OpProfile)> {
     let mut span = cr_obs::trace::TraceSpan::child("relation.query");
     let started = Instant::now();
-    let (rows, profile) = if opts.batch_size > 0 {
-        let (batch, profile) = run_batched_profiled(plan, catalog, opts)?;
-        (batch.to_rows(), profile)
-    } else {
-        let (rows, profile) = run_profiled(plan, catalog, opts)?;
-        (rows.into_owned(), profile)
-    };
+    let mut profiles = Vec::with_capacity(1);
+    let rows = run_batched(plan, catalog, opts, Some(&mut profiles))?.to_rows();
+    let profile = profiles.pop().expect("the root operator records a profile");
     let elapsed = started.elapsed();
     if cr_obs::enabled() {
         let m = metrics();
@@ -577,14 +334,11 @@ pub fn execute_instrumented_with(
     ))
 }
 
-/// The row-at-a-time walker. Returns `Cow` so `LogicalPlan::Values`
-/// lends its literal rows instead of cloning them on every run — copies
-/// happen only when an ancestor operator actually consumes owned rows.
-fn run<'p>(
-    plan: &'p LogicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<Cow<'p, [Row]>> {
+/// The serial row-at-a-time walker: the differential reference for the
+/// vectorized executor. Returns `Cow` so `LogicalPlan::Values` lends its
+/// literal rows instead of cloning them on every run — copies happen only
+/// when an ancestor operator actually consumes owned rows.
+fn run<'p>(plan: &'p LogicalPlan, catalog: &Catalog) -> RelResult<Cow<'p, [Row]>> {
     match plan {
         LogicalPlan::Scan {
             table,
@@ -593,17 +347,19 @@ fn run<'p>(
             ..
         } => Ok(Cow::Owned(
             catalog
-                .with_table(table, |t| scan_table(t, projection, filter, opts))??
+                .with_table(table, |t| scan_table(t, projection, filter))??
                 .0,
         )),
 
-        LogicalPlan::Filter { input, predicate } => Ok(Cow::Owned(
-            filter_rows_opt(run(input, catalog, opts)?.into_owned(), predicate, opts)?.0,
-        )),
+        LogicalPlan::Filter { input, predicate } => Ok(Cow::Owned(filter_rows(
+            run(input, catalog)?.into_owned(),
+            predicate,
+        )?)),
 
-        LogicalPlan::Project { input, exprs, .. } => Ok(Cow::Owned(
-            project_rows_opt(run(input, catalog, opts)?.into_owned(), exprs, opts)?.0,
-        )),
+        LogicalPlan::Project { input, exprs, .. } => Ok(Cow::Owned(project_rows(
+            run(input, catalog)?.into_owned(),
+            exprs,
+        )?)),
 
         LogicalPlan::Join {
             left,
@@ -612,16 +368,15 @@ fn run<'p>(
             on,
             ..
         } => {
-            let left_rows = run(left, catalog, opts)?.into_owned();
-            let right_rows = run(right, catalog, opts)?.into_owned();
-            let (rows, _, _) = join_rows_opt(
+            let left_rows = run(left, catalog)?.into_owned();
+            let right_rows = run(right, catalog)?.into_owned();
+            let (rows, _) = join_rows(
                 left_rows,
                 right_rows,
                 left.schema().len(),
                 right.schema().len(),
                 *kind,
                 on,
-                opts,
             )?;
             Ok(Cow::Owned(rows))
         }
@@ -631,12 +386,14 @@ fn run<'p>(
             group_by,
             aggs,
             ..
-        } => Ok(Cow::Owned(
-            aggregate_rows_opt(&run(input, catalog, opts)?, group_by, aggs, opts)?.0,
-        )),
+        } => Ok(Cow::Owned(aggregate_rows(
+            &run(input, catalog)?,
+            group_by,
+            aggs,
+        )?)),
 
         LogicalPlan::Sort { input, keys } => Ok(Cow::Owned(sort_rows(
-            run(input, catalog, opts)?.into_owned(),
+            run(input, catalog)?.into_owned(),
             keys,
         )?)),
 
@@ -645,7 +402,7 @@ fn run<'p>(
             limit,
             offset,
         } => Ok(Cow::Owned(limit_rows(
-            run(input, catalog, opts)?.into_owned(),
+            run(input, catalog)?.into_owned(),
             *limit,
             *offset,
         ))),
@@ -653,8 +410,8 @@ fn run<'p>(
         LogicalPlan::Values { rows, .. } => Ok(Cow::Borrowed(rows.as_slice())),
 
         LogicalPlan::Union { left, right } => {
-            let mut rows = run(left, catalog, opts)?.into_owned();
-            match run(right, catalog, opts)? {
+            let mut rows = run(left, catalog)?.into_owned();
+            match run(right, catalog)? {
                 Cow::Owned(mut r) => rows.append(&mut r),
                 Cow::Borrowed(r) => rows.extend_from_slice(r),
             }
@@ -668,227 +425,14 @@ fn run<'p>(
             rating,
             ..
         } => {
-            let input_rows = run(input, catalog, opts)?.into_owned();
-            let related_rows = run(related, catalog, opts)?;
-            Ok(Cow::Owned(
-                extend_rows_opt(input_rows, &related_rows, *key_col, *rating, opts)?.0,
-            ))
-        }
-
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let target_rows = run(target, catalog, opts)?.into_owned();
-            let comparator_rows = run(comparator, catalog, opts)?;
-            Ok(Cow::Owned(
-                recommend_rows_opt(target_rows, &comparator_rows, spec, opts)?.0,
-            ))
-        }
-    }
-}
-
-/// Profiled twin of [`run`]: same operator implementations (the shared
-/// `*_rows` helpers), with each node timed and annotated.
-fn run_profiled<'p>(
-    plan: &'p LogicalPlan,
-    catalog: &Catalog,
-    opts: &ExecOptions,
-) -> RelResult<(Cow<'p, [Row]>, OpProfile)> {
-    // Opened before recursing so child operators (and partition workers)
-    // nest under this node in the trace; the operator name is only known
-    // after the match, hence the rename below.
-    let mut span = cr_obs::trace::TraceSpan::child("op");
-    let t0 = Instant::now();
-    let (rows, op, detail, children) = match plan {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            filter,
-            ..
-        } => {
-            let (scanned, table_len) = catalog.with_table(table, |t| {
-                (scan_table(t, projection, filter, opts), t.len())
-            })?;
-            let (rows, path, par) = scanned?;
-            let mut detail = vec![format!("access={path}")];
-            if let Some(f) = filter {
-                detail.push(format!("filter={f}"));
-            }
-            push_par_detail(&mut detail, &par);
-            if matches!(path, AccessPath::SeqScan) {
-                push_adaptive_detail(&mut detail, opts, table_len, &par);
-            }
-            let op = match alias {
-                Some(a) if a != table => format!("Scan {table} AS {a}"),
-                _ => format!("Scan {table}"),
-            };
-            (Cow::Owned(rows), op, detail, Vec::new())
-        }
-
-        LogicalPlan::Filter { input, predicate } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let rows_in = rows.len();
-            let (rows, par) = filter_rows_opt(rows.into_owned(), predicate, opts)?;
-            let mut detail = vec![format!("predicate={predicate}")];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (Cow::Owned(rows), "Filter".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Project { input, exprs, .. } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let rows_in = rows.len();
-            let (rows, par) = project_rows_opt(rows.into_owned(), exprs, opts)?;
-            let mut detail = vec![format!("exprs={}", exprs.len())];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (Cow::Owned(rows), "Project".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let (left_rows, lchild) = run_profiled(left, catalog, opts)?;
-            let (right_rows, rchild) = run_profiled(right, catalog, opts)?;
-            let rows_in = left_rows.len();
-            let (rows, info, par) = join_rows_opt(
-                left_rows.into_owned(),
-                right_rows.into_owned(),
-                left.schema().len(),
-                right.schema().len(),
-                *kind,
-                on,
-                opts,
-            )?;
-            let op = if info.hash {
-                "HashJoin"
-            } else {
-                "NestedLoopJoin"
-            };
-            let mut detail = vec![format!("kind={kind:?}")];
-            if info.hash {
-                detail.push(format!("keys={}", info.keys));
-                detail.push("build=right".to_owned());
-            }
-            push_par_detail(&mut detail, &par);
-            if info.hash {
-                push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            }
-            (
-                Cow::Owned(rows),
-                op.to_owned(),
-                detail,
-                vec![lchild, rchild],
-            )
-        }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let (out, par) = aggregate_rows_opt(&rows, group_by, aggs, opts)?;
-            let mut detail = vec![
-                format!("group_by={}", group_by.len()),
-                format!("aggs={}", aggs.len()),
-            ];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows.len(), &par);
-            (Cow::Owned(out), "Aggregate".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Sort { input, keys } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let rows = sort_rows(rows.into_owned(), keys)?;
-            (
-                Cow::Owned(rows),
-                "Sort".to_owned(),
-                vec![format!("keys={}", keys.len())],
-                vec![child],
-            )
-        }
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (rows, child) = run_profiled(input, catalog, opts)?;
-            let rows = limit_rows(rows.into_owned(), *limit, *offset);
-            let mut detail = Vec::new();
-            if let Some(n) = limit {
-                detail.push(format!("limit={n}"));
-            }
-            if *offset > 0 {
-                detail.push(format!("offset={offset}"));
-            }
-            (Cow::Owned(rows), "Limit".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Values { rows, .. } => (
-            Cow::Borrowed(rows.as_slice()),
-            "Values".to_owned(),
-            Vec::new(),
-            Vec::new(),
-        ),
-
-        LogicalPlan::Union { left, right } => {
-            let (rows, lchild) = run_profiled(left, catalog, opts)?;
-            let (right_rows, rchild) = run_profiled(right, catalog, opts)?;
-            let mut rows = rows.into_owned();
-            match right_rows {
-                Cow::Owned(mut r) => rows.append(&mut r),
-                Cow::Borrowed(r) => rows.extend_from_slice(r),
-            }
-            (
-                Cow::Owned(rows),
-                "Union".to_owned(),
-                Vec::new(),
-                vec![lchild, rchild],
-            )
-        }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            ..
-        } => {
-            let (input_rows, ichild) = run_profiled(input, catalog, opts)?;
-            let (related_rows, rchild) = run_profiled(related, catalog, opts)?;
-            let rows_in = input_rows.len();
-            let (rows, par) = extend_rows_opt(
-                input_rows.into_owned(),
+            let input_rows = run(input, catalog)?.into_owned();
+            let related_rows = run(related, catalog)?;
+            Ok(Cow::Owned(extend_rows(
+                input_rows,
                 &related_rows,
                 *key_col,
                 *rating,
-                opts,
-            )?;
-            let mut detail = vec![
-                format!("kind={}", if *rating { "ratings" } else { "set" }),
-                format!("key=#{key_col}"),
-                format!("as={as_name}"),
-            ];
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (
-                Cow::Owned(rows),
-                "Extend".to_owned(),
-                detail,
-                vec![ichild, rchild],
-            )
+            )?))
         }
 
         LogicalPlan::Recommend {
@@ -897,57 +441,20 @@ fn run_profiled<'p>(
             spec,
             ..
         } => {
-            let (target_rows, tchild) = run_profiled(target, catalog, opts)?;
-            let (comparator_rows, cchild) = run_profiled(comparator, catalog, opts)?;
-            let rows_in = target_rows.len();
-            let (rows, par) =
-                recommend_rows_opt(target_rows.into_owned(), &comparator_rows, spec, opts)?;
-            let mut detail = vec![
-                format!("method={}", spec.method.name()),
-                format!("agg={}", spec.agg),
-            ];
-            if let Some(k) = spec.k {
-                detail.push(format!("top={k}"));
-            }
-            if spec.exclude_seen.is_some() {
-                detail.push("exclude_seen".to_owned());
-            }
-            push_par_detail(&mut detail, &par);
-            push_adaptive_detail(&mut detail, opts, rows_in, &par);
-            (
-                Cow::Owned(rows),
-                "Recommend".to_owned(),
-                detail,
-                vec![tchild, cchild],
-            )
-        }
-    };
-    let elapsed = t0.elapsed();
-    if cr_obs::enabled() {
-        // Pre-resolved per-kind histogram: elapsed is already measured,
-        // recording is one atomic bump (no Span, no registry lock).
-        metrics().op_hist(plan).record_duration(elapsed);
-    }
-    if span.is_recording() {
-        span.set_name(&op);
-        span.attr("rows_out", rows.len().to_string());
-        if !detail.is_empty() {
-            span.attr("detail", detail.join(" "));
+            let target_rows = run(target, catalog)?.into_owned();
+            let comparator_rows = run(comparator, catalog)?;
+            Ok(Cow::Owned(recommend_rows(
+                target_rows,
+                &comparator_rows,
+                spec,
+            )?))
         }
     }
-    let profile = OpProfile {
-        op,
-        detail,
-        rows_out: rows.len(),
-        elapsed,
-        children,
-    };
-    Ok((rows, profile))
 }
 
 // ---------------------------------------------------------------------
-// Row-level operator implementations, shared by the plain and profiled
-// executors so both paths compute identical results.
+// Row-level operator implementations: the reference walker's operators,
+// also reused by the vectorized path where it transposes to rows.
 // ---------------------------------------------------------------------
 
 fn filter_rows(rows: Vec<Row>, predicate: &Expr) -> RelResult<Vec<Row>> {
@@ -960,23 +467,6 @@ fn filter_rows(rows: Vec<Row>, predicate: &Expr) -> RelResult<Vec<Row>> {
     Ok(out)
 }
 
-/// [`filter_rows`], partition-parallel when the options allow. Chunks are
-/// contiguous and reassembled in order, so output order matches serial.
-fn filter_rows_opt(
-    rows: Vec<Row>,
-    predicate: &Expr,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(rows.len());
-    if threads <= 1 {
-        return Ok((filter_rows(rows, predicate)?, None));
-    }
-    let (parts, info) = run_partitioned(split_owned(rows, threads), |chunk| {
-        filter_rows(chunk, predicate)
-    })?;
-    Ok((parts.into_iter().flatten().collect(), Some(info)))
-}
-
 fn project_rows(rows: Vec<Row>, exprs: &[(Expr, String)]) -> RelResult<Vec<Row>> {
     let mut out = Vec::with_capacity(rows.len());
     for r in rows {
@@ -987,22 +477,6 @@ fn project_rows(rows: Vec<Row>, exprs: &[(Expr, String)]) -> RelResult<Vec<Row>>
         out.push(projected);
     }
     Ok(out)
-}
-
-/// [`project_rows`], partition-parallel when the options allow.
-fn project_rows_opt(
-    rows: Vec<Row>,
-    exprs: &[(Expr, String)],
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(rows.len());
-    if threads <= 1 {
-        return Ok((project_rows(rows, exprs)?, None));
-    }
-    let (parts, info) = run_partitioned(split_owned(rows, threads), |chunk| {
-        project_rows(chunk, exprs)
-    })?;
-    Ok((parts.into_iter().flatten().collect(), Some(info)))
 }
 
 fn limit_rows(rows: Vec<Row>, limit: Option<usize>, offset: usize) -> Vec<Row> {
@@ -1091,15 +565,17 @@ fn build_nest_map(related_rows: &[Row], rating: bool) -> RelResult<HashMap<Value
     )
 }
 
-/// Append the nested attribute to each input row by probing the nest map.
-fn extend_probe(
-    rows: Vec<Row>,
+/// Append the nested attribute to each input row by probing the nest map
+/// built from the related rows.
+fn extend_rows(
+    input_rows: Vec<Row>,
+    related_rows: &[Row],
     key_col: usize,
     rating: bool,
-    map: &HashMap<Value, Value>,
 ) -> RelResult<Vec<Row>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for mut row in rows {
+    let map = build_nest_map(related_rows, rating)?;
+    let mut out = Vec::with_capacity(input_rows.len());
+    for mut row in input_rows {
         let key = as_rec_scalar(&row[key_col])
             .ok_or_else(|| RelError::Invalid("extend key not scalar".into()))?;
         let nested = match map.get(key) {
@@ -1111,42 +587,6 @@ fn extend_probe(
         out.push(row);
     }
     Ok(out)
-}
-
-fn extend_rows(
-    input_rows: Vec<Row>,
-    related_rows: &[Row],
-    key_col: usize,
-    rating: bool,
-) -> RelResult<Vec<Row>> {
-    let map = build_nest_map(related_rows, rating)?;
-    extend_probe(input_rows, key_col, rating, &map)
-}
-
-/// [`extend_rows`], with the probe side partition-parallel when the
-/// options allow. The nest map is always built serially (fixed float
-/// accumulation order); probing is per-row independent and chunks
-/// reassemble in order, so output is byte-identical to serial.
-fn extend_rows_opt(
-    input_rows: Vec<Row>,
-    related_rows: &[Row],
-    key_col: usize,
-    rating: bool,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(input_rows.len());
-    if threads <= 1 {
-        return Ok((
-            extend_rows(input_rows, related_rows, key_col, rating)?,
-            None,
-        ));
-    }
-    let map = build_nest_map(related_rows, rating)?;
-    let map = &map;
-    let (parts, info) = run_partitioned(split_owned(input_rows, threads), |chunk| {
-        extend_probe(chunk, key_col, rating, map)
-    })?;
-    Ok((parts.into_iter().flatten().collect(), Some(info)))
 }
 
 /// Precomputed per-run state for the recommend operator: the exclusion
@@ -1184,8 +624,7 @@ fn build_rec_context<'a>(comparator_rows: &'a [Row], spec: &RecSpec) -> RecConte
 }
 
 /// Score one target row against every comparator row. Returns `None` when
-/// the target is excluded, matched no comparator, or scored ≤ 0. Pure per
-/// target, which is what makes the parallel path trivially deterministic.
+/// the target is excluded, matched no comparator, or scored ≤ 0.
 fn score_target(
     mut t: Row,
     comparator_rows: &[Row],
@@ -1301,35 +740,6 @@ fn recommend_rows(
         }
     }
     Ok(finish_recommend(scored, spec))
-}
-
-/// [`recommend_rows`], scoring targets partition-parallel when the options
-/// allow. Chunk outputs concatenate in order (preserving original target
-/// order) before the stable final sort, so output is byte-identical to
-/// serial.
-fn recommend_rows_opt(
-    target_rows: Vec<Row>,
-    comparator_rows: &[Row],
-    spec: &RecSpec,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(target_rows.len());
-    if threads <= 1 {
-        return Ok((recommend_rows(target_rows, comparator_rows, spec)?, None));
-    }
-    let ctx = build_rec_context(comparator_rows, spec);
-    let ctx = &ctx;
-    let (parts, info) = run_partitioned(split_owned(target_rows, threads), |chunk| {
-        let mut part = Vec::new();
-        for t in chunk {
-            if let Some(s) = score_target(t, comparator_rows, spec, ctx) {
-                part.push(s);
-            }
-        }
-        Ok(part)
-    })?;
-    let scored: Vec<(f64, Row)> = parts.into_iter().flatten().collect();
-    Ok((finish_recommend(scored, spec), Some(info)))
 }
 
 // ---------------------------------------------------------------------
@@ -1501,8 +911,7 @@ fn scan_table(
     table: &Table,
     projection: &Option<Vec<usize>>,
     filter: &Option<Expr>,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, AccessPath, Option<ParInfo>)> {
+) -> RelResult<(Vec<Row>, AccessPath)> {
     let path = choose_access_path(table, filter);
     if cr_obs::enabled() {
         let m = metrics();
@@ -1525,35 +934,12 @@ fn scan_table(
             None => Ok(true),
         }
     };
-    let mut par_info = None;
     let mut out = Vec::new();
     match &path {
         AccessPath::SeqScan => {
-            let threads = opts.threads_for(table.len());
-            if threads > 1 {
-                // Contiguous slot ranges per worker; concatenating the
-                // partition outputs in range order reproduces the serial
-                // scan order exactly.
-                let slots = table.slot_count();
-                let ranges: Vec<std::ops::Range<usize>> = (0..threads)
-                    .map(|p| (p * slots / threads)..((p + 1) * slots / threads))
-                    .collect();
-                let (parts, info) = run_partitioned(ranges, |range| {
-                    let mut part = Vec::new();
-                    for (_, r) in table.scan_slots(range) {
-                        if passes(r)? {
-                            part.push(project(r));
-                        }
-                    }
-                    Ok(part)
-                })?;
-                out = parts.into_iter().flatten().collect();
-                par_info = Some(info);
-            } else {
-                for (_, r) in table.scan() {
-                    if passes(r)? {
-                        out.push(project(r));
-                    }
+            for (_, r) in table.scan() {
+                if passes(r)? {
+                    out.push(project(r));
                 }
             }
         }
@@ -1615,7 +1001,7 @@ fn scan_table(
             }
         }
     }
-    Ok((out, path, par_info))
+    Ok((out, path))
 }
 
 // ---------------------------------------------------------------------
@@ -1744,130 +1130,6 @@ fn join_rows(
     ))
 }
 
-/// Hash partition for a row's join key, or `None` if any key column is
-/// NULL (NULL keys never join). Both sides use the same function so
-/// matching keys always land in the same partition.
-fn key_partition(row: &Row, cols: &[usize], parts: usize) -> Option<usize> {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &c in cols {
-        if row[c].is_null() {
-            return None;
-        }
-        row[c].hash(&mut h);
-    }
-    Some((h.finish() % parts as u64) as usize)
-}
-
-/// Hash-join one partition pair: build on the right rows, probe the left
-/// rows (tagged with their original position) in order. The right rows
-/// preserve their original relative order, so per-probe match order is
-/// identical to the serial join's.
-#[allow(clippy::too_many_arguments)]
-fn join_partition(
-    left: &[(usize, Row)],
-    right: &[Row],
-    left_width: usize,
-    right_width: usize,
-    kind: JoinKind,
-    lk: &[usize],
-    rk: &[usize],
-    residual: &Option<Expr>,
-) -> RelResult<Vec<(usize, Row)>> {
-    let mut build: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(right.len());
-    for (i, r) in right.iter().enumerate() {
-        let key: Vec<Value> = rk.iter().map(|&k| r[k].clone()).collect();
-        build.entry(key).or_default().push(i);
-    }
-    let mut out = Vec::new();
-    for (orig, l) in left {
-        let key: Vec<Value> = lk.iter().map(|&k| l[k].clone()).collect();
-        let mut matched = false;
-        if !key.iter().any(Value::is_null) {
-            if let Some(idxs) = build.get(&key) {
-                for &i in idxs {
-                    let mut combined = Vec::with_capacity(left_width + right_width);
-                    combined.extend_from_slice(l);
-                    combined.extend_from_slice(&right[i]);
-                    let ok = match residual {
-                        Some(p) => p.eval_predicate(&combined)?,
-                        None => true,
-                    };
-                    if ok {
-                        matched = true;
-                        out.push((*orig, combined));
-                    }
-                }
-            }
-        }
-        if !matched && kind == JoinKind::LeftOuter {
-            let mut combined = Vec::with_capacity(left_width + right_width);
-            combined.extend_from_slice(l);
-            combined.extend(std::iter::repeat_n(Value::Null, right_width));
-            out.push((*orig, combined));
-        }
-    }
-    Ok(out)
-}
-
-/// [`join_rows`], parallel for equi-joins when the options allow: both
-/// sides are hash-partitioned by join key, partition pairs join on worker
-/// threads, and the outputs merge by original left-row position — so the
-/// result is row-for-row identical to the serial probe order.
-fn join_rows_opt(
-    left_rows: Vec<Row>,
-    right_rows: Vec<Row>,
-    left_width: usize,
-    right_width: usize,
-    kind: JoinKind,
-    on: &Expr,
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, JoinInfo, Option<ParInfo>)> {
-    let threads = opts.threads_for(left_rows.len() + right_rows.len());
-    let (lk, rk, residual) = extract_equi_keys(on, left_width);
-    if lk.is_empty() || threads <= 1 {
-        let (rows, info) = join_rows(left_rows, right_rows, left_width, right_width, kind, on)?;
-        return Ok((rows, info, None));
-    }
-    let residual = if residual.is_empty() {
-        None
-    } else {
-        Some(Expr::conjoin(residual))
-    };
-    // NULL-keyed left rows can never match but still null-extend under
-    // LEFT JOIN; spread them round-robin so no partition is starved.
-    // NULL-keyed right rows are dropped, exactly like the serial build.
-    let mut lparts: Vec<Vec<(usize, Row)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, l) in left_rows.into_iter().enumerate() {
-        let p = key_partition(&l, &lk, threads).unwrap_or(i % threads);
-        lparts[p].push((i, l));
-    }
-    let mut rparts: Vec<Vec<Row>> = (0..threads).map(|_| Vec::new()).collect();
-    for r in right_rows {
-        if let Some(p) = key_partition(&r, &rk, threads) {
-            rparts[p].push(r);
-        }
-    }
-    let (lk, rk, residual) = (&lk, &rk, &residual);
-    let pairs: Vec<_> = lparts.into_iter().zip(rparts).collect();
-    let (parts, info) = run_partitioned(pairs, |(lp, rp)| {
-        join_partition(&lp, &rp, left_width, right_width, kind, lk, rk, residual)
-    })?;
-    let mut tagged: Vec<(usize, Row)> = parts.into_iter().flatten().collect();
-    // Stable: a left row's multiple matches stay in their within-partition
-    // (= serial probe) order.
-    tagged.sort_by_key(|(i, _)| *i);
-    let rows = tagged.into_iter().map(|(_, r)| r).collect();
-    Ok((
-        rows,
-        JoinInfo {
-            hash: true,
-            keys: lk.len(),
-        },
-        Some(info),
-    ))
-}
-
 // ---------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------
@@ -1875,11 +1137,7 @@ fn join_rows_opt(
 #[derive(Debug, Clone)]
 enum AggState {
     Count(i64),
-    Sum {
-        total: f64,
-        any: bool,
-        int: bool,
-    },
+    Sum(SumAcc),
     Avg {
         total: f64,
         n: i64,
@@ -1890,6 +1148,16 @@ enum AggState {
     Distinct(Vec<Value>, AggFn),
 }
 
+/// SUM's running total: exact `i64` while every input is INT (overflow
+/// is an error, never a silent wrap), `f64` from the first FLOAT on.
+#[derive(Debug, Clone, Copy)]
+enum SumAcc {
+    /// No non-NULL input yet (SUM is NULL).
+    Empty,
+    Int(i64),
+    Float(f64),
+}
+
 impl AggState {
     fn new(a: &AggExpr) -> AggState {
         if a.distinct {
@@ -1897,11 +1165,7 @@ impl AggState {
         }
         match a.func {
             AggFn::Count | AggFn::CountStar => AggState::Count(0),
-            AggFn::Sum => AggState::Sum {
-                total: 0.0,
-                any: false,
-                int: true,
-            },
+            AggFn::Sum => AggState::Sum(SumAcc::Empty),
             AggFn::Avg => AggState::Avg { total: 0.0, n: 0 },
             AggFn::Min => AggState::Min(None),
             AggFn::Max => AggState::Max(None),
@@ -1915,14 +1179,19 @@ impl AggState {
                     *n += 1;
                 }
             }
-            AggState::Sum { total, any, int } => {
-                if !v.is_null() {
-                    if !matches!(v, Value::Int(_)) {
-                        *int = false;
+            AggState::Sum(acc) => {
+                *acc = match (*acc, &v) {
+                    (_, Value::Null) => *acc,
+                    (SumAcc::Empty, Value::Int(n)) => SumAcc::Int(*n),
+                    (SumAcc::Int(total), Value::Int(n)) => {
+                        SumAcc::Int(total.checked_add(*n).ok_or_else(|| {
+                            RelError::Arithmetic("integer overflow in SUM".into())
+                        })?)
                     }
-                    *total += v.as_float()?;
-                    *any = true;
-                }
+                    (SumAcc::Empty, _) => SumAcc::Float(0.0 + v.as_float()?),
+                    (SumAcc::Int(total), _) => SumAcc::Float(total as f64 + v.as_float()?),
+                    (SumAcc::Float(total), _) => SumAcc::Float(total + v.as_float()?),
+                };
             }
             AggState::Avg { total, n } => {
                 if !v.is_null() {
@@ -1949,61 +1218,12 @@ impl AggState {
         Ok(())
     }
 
-    /// Fold another partial state (from a later input chunk) into this
-    /// one. Matches the serial `update` semantics: earlier-chunk values
-    /// win MIN/MAX ties, DISTINCT collections concatenate in chunk order.
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(n), AggState::Count(m)) => *n += m,
-            (
-                AggState::Sum { total, any, int },
-                AggState::Sum {
-                    total: t2,
-                    any: a2,
-                    int: i2,
-                },
-            ) => {
-                *total += t2;
-                *any |= a2;
-                *int &= i2;
-            }
-            (AggState::Avg { total, n }, AggState::Avg { total: t2, n: n2 }) => {
-                *total += t2;
-                *n += n2;
-            }
-            (AggState::Min(cur), AggState::Min(other)) => {
-                if let Some(v) = other {
-                    if cur.as_ref().is_none_or(|c| v < *c) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Max(cur), AggState::Max(other)) => {
-                if let Some(v) = other {
-                    if cur.as_ref().is_none_or(|c| v > *c) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Distinct(vals, _), AggState::Distinct(mut other, _)) => {
-                vals.append(&mut other);
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
     fn finish(self) -> RelResult<Value> {
         Ok(match self {
             AggState::Count(n) => Value::Int(n),
-            AggState::Sum { total, any, int } => {
-                if !any {
-                    Value::Null
-                } else if int {
-                    Value::Int(total as i64)
-                } else {
-                    Value::float(total)
-                }
-            }
+            AggState::Sum(SumAcc::Empty) => Value::Null,
+            AggState::Sum(SumAcc::Int(total)) => Value::Int(total),
+            AggState::Sum(SumAcc::Float(total)) => Value::float(total),
             AggState::Avg { total, n } => {
                 if n == 0 {
                     Value::Null
@@ -2030,12 +1250,7 @@ impl AggState {
     }
 }
 
-/// Per-chunk grouped partial states plus the chunk's first-seen group
-/// order (the unit merged across parallel aggregation workers).
-type AggPartial = (HashMap<Vec<Value>, Vec<AggState>>, Vec<Vec<Value>>);
-
-/// One accumulation pass over a row chunk.
-fn aggregate_partial(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<AggPartial> {
+fn aggregate_rows(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Vec<Row>> {
     let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     // Preserve first-seen group order for deterministic output.
     let mut order: Vec<Vec<Value>> = Vec::new();
@@ -2063,7 +1278,7 @@ fn aggregate_partial(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelRe
             state.update(v, is_star)?;
         }
     }
-    Ok((groups, order))
+    aggregate_finish(groups, order, group_by, aggs)
 }
 
 /// Finish accumulated groups into output rows (first-seen group order).
@@ -2092,50 +1307,6 @@ fn aggregate_finish(
         out.push(row);
     }
     Ok(out)
-}
-
-fn aggregate_rows(rows: &[Row], group_by: &[Expr], aggs: &[AggExpr]) -> RelResult<Vec<Row>> {
-    let (groups, order) = aggregate_partial(rows, group_by, aggs)?;
-    aggregate_finish(groups, order, group_by, aggs)
-}
-
-/// [`aggregate_rows`], parallel when the options allow: each worker
-/// accumulates partial states over a contiguous chunk, and partials merge
-/// in chunk order — so first-seen group order (and therefore output
-/// order) matches the serial pass.
-fn aggregate_rows_opt(
-    rows: &[Row],
-    group_by: &[Expr],
-    aggs: &[AggExpr],
-    opts: &ExecOptions,
-) -> RelResult<(Vec<Row>, Option<ParInfo>)> {
-    let threads = opts.threads_for(rows.len());
-    if threads <= 1 {
-        return Ok((aggregate_rows(rows, group_by, aggs)?, None));
-    }
-    let chunks: Vec<&[Row]> = (0..threads)
-        .map(|p| &rows[(p * rows.len() / threads)..((p + 1) * rows.len() / threads)])
-        .collect();
-    let (parts, info) = run_partitioned(chunks, |chunk| aggregate_partial(chunk, group_by, aggs))?;
-    let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    for (mut part_groups, part_order) in parts {
-        for key in part_order {
-            let states = part_groups.remove(&key).expect("group recorded in order");
-            match groups.get_mut(&key) {
-                Some(existing) => {
-                    for (cur, other) in existing.iter_mut().zip(states) {
-                        cur.merge(other);
-                    }
-                }
-                None => {
-                    order.push(key.clone());
-                    groups.insert(key, states);
-                }
-            }
-        }
-    }
-    Ok((aggregate_finish(groups, order, group_by, aggs)?, Some(info)))
 }
 
 // ---------------------------------------------------------------------
@@ -2282,7 +1453,7 @@ fn scan_batched(
         }
         Ok((batch, path, batches))
     } else {
-        let (rows, path, _) = scan_table(t, projection, filter, opts)?;
+        let (rows, path) = scan_table(t, projection, filter)?;
         let width = projection
             .as_ref()
             .map_or(t.schema().columns().len(), Vec::len);
@@ -2543,302 +1714,45 @@ fn recommend_batched(target: &Batch, comparator: &Batch, spec: &RecSpec) -> RelR
     Ok(Batch::from_rows(&rows, width))
 }
 
-/// The vectorized walker (the default execution path).
-fn run_batched(plan: &LogicalPlan, catalog: &Catalog, opts: &ExecOptions) -> RelResult<Batch> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            projection,
-            filter,
-            ..
-        } => Ok(catalog
-            .with_table(table, |t| scan_batched(t, projection, filter, opts))??
-            .0),
-
-        LogicalPlan::Filter { input, predicate } => {
-            let batch = run_batched(input, catalog, opts)?;
-            let (keep, _) = filter_selection(&batch, predicate, opts.batch_size)?;
-            Ok(batch.select(keep))
-        }
-
-        LogicalPlan::Project { input, exprs, .. } => {
-            let batch = run_batched(input, catalog, opts)?;
-            Ok(project_batched(&batch, exprs, opts.batch_size)?.0)
-        }
-
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let l = run_batched(left, catalog, opts)?;
-            let r = run_batched(right, catalog, opts)?;
-            Ok(join_batched(&l, &r, *kind, on)?.0)
-        }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let batch = run_batched(input, catalog, opts)?;
-            let rows = aggregate_batched(&batch, group_by, aggs)?;
-            Ok(Batch::from_rows(&rows, group_by.len() + aggs.len()))
-        }
-
-        LogicalPlan::Sort { input, keys } => sort_batched(run_batched(input, catalog, opts)?, keys),
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => Ok(limit_batched(
-            run_batched(input, catalog, opts)?,
-            *limit,
-            *offset,
-        )),
-
-        LogicalPlan::Values { rows, .. } => Ok(Batch::from_rows(rows, plan.schema().len())),
-
-        LogicalPlan::Union { left, right } => {
-            let l = run_batched(left, catalog, opts)?;
-            let r = run_batched(right, catalog, opts)?;
-            Ok(union_batched(&l, &r))
-        }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            ..
-        } => {
-            let i = run_batched(input, catalog, opts)?;
-            let r = run_batched(related, catalog, opts)?;
-            extend_batched(i, &r, *key_col, *rating)
-        }
-
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let t = run_batched(target, catalog, opts)?;
-            let c = run_batched(comparator, catalog, opts)?;
-            recommend_batched(&t, &c, spec)
-        }
-    }
+/// What an operator observed while running, kept as plain values so the
+/// unprofiled walk formats nothing; [`describe`] renders it into the
+/// EXPLAIN ANALYZE detail only when a profile is being recorded.
+enum OpFacts {
+    None,
+    /// Access path and kernel-invocation count of a scan.
+    Scan(AccessPath, usize),
+    /// Kernel-invocation count of a filter or projection.
+    Batches(usize),
+    Join(JoinInfo),
 }
 
-/// Profiled twin of [`run_batched`]: same batched operator
-/// implementations, with each node timed and annotated. Spans and
-/// EXPLAIN ANALYZE keep the row path's operator names and fields, plus
-/// the new `batches=`/`selected=` detail. The batched path runs each
-/// operator serially; when the options asked for parallelism the adaptive
-/// decision is still recorded on the span.
-fn run_batched_profiled(
+/// The vectorized walker (the default execution path). With `sink` set,
+/// the node times itself, opens an operator span, and pushes its
+/// [`OpProfile`] (children nested) into `sink`; without it the walk takes
+/// no clock reads, opens no spans and formats no strings.
+fn run_batched(
     plan: &LogicalPlan,
     catalog: &Catalog,
     opts: &ExecOptions,
-) -> RelResult<(Batch, OpProfile)> {
+    sink: Option<&mut Vec<OpProfile>>,
+) -> RelResult<Batch> {
+    let Some(sink) = sink else {
+        return Ok(run_node(plan, catalog, opts, None)?.0);
+    };
+    // Opened before recursing so child operators nest under this node in
+    // the trace; the operator name is only known afterwards, hence the
+    // rename below.
     let mut span = cr_obs::trace::TraceSpan::child("op");
     let t0 = Instant::now();
-    let (batch, op, detail, children) = match plan {
-        LogicalPlan::Scan {
-            table,
-            alias,
-            projection,
-            filter,
-            ..
-        } => {
-            let (scanned, table_len) = catalog.with_table(table, |t| {
-                (scan_batched(t, projection, filter, opts), t.len())
-            })?;
-            let (batch, path, batches) = scanned?;
-            let mut detail = vec![format!("access={path}")];
-            if let Some(f) = filter {
-                detail.push(format!("filter={f}"));
-            }
-            detail.push(format!("batches={batches}"));
-            detail.push(format!("selected={}", batch.len()));
-            if matches!(path, AccessPath::SeqScan) {
-                push_adaptive_detail(&mut detail, opts, table_len, &None);
-            }
-            let op = match alias {
-                Some(a) if a != table => format!("Scan {table} AS {a}"),
-                _ => format!("Scan {table}"),
-            };
-            (batch, op, detail, Vec::new())
-        }
-
-        LogicalPlan::Filter { input, predicate } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let rows_in = batch.len();
-            let (keep, batches) = filter_selection(&batch, predicate, opts.batch_size)?;
-            let batch = batch.select(keep);
-            let mut detail = vec![
-                format!("predicate={predicate}"),
-                format!("batches={batches}"),
-                format!("selected={}", batch.len()),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Filter".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Project { input, exprs, .. } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let rows_in = batch.len();
-            let (batch, batches) = project_batched(&batch, exprs, opts.batch_size)?;
-            let mut detail = vec![
-                format!("exprs={}", exprs.len()),
-                format!("batches={batches}"),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Project".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            on,
-            ..
-        } => {
-            let (l, lchild) = run_batched_profiled(left, catalog, opts)?;
-            let (r, rchild) = run_batched_profiled(right, catalog, opts)?;
-            let rows_in = l.len();
-            let (batch, info) = join_batched(&l, &r, *kind, on)?;
-            let op = if info.hash {
-                "HashJoin"
-            } else {
-                "NestedLoopJoin"
-            };
-            let mut detail = vec![format!("kind={kind:?}")];
-            if info.hash {
-                detail.push(format!("keys={}", info.keys));
-                detail.push("build=right".to_owned());
-                push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            }
-            (batch, op.to_owned(), detail, vec![lchild, rchild])
-        }
-
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-            ..
-        } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let rows_in = batch.len();
-            let rows = aggregate_batched(&batch, group_by, aggs)?;
-            let out = Batch::from_rows(&rows, group_by.len() + aggs.len());
-            let mut detail = vec![
-                format!("group_by={}", group_by.len()),
-                format!("aggs={}", aggs.len()),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (out, "Aggregate".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Sort { input, keys } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let batch = sort_batched(batch, keys)?;
-            (
-                batch,
-                "Sort".to_owned(),
-                vec![format!("keys={}", keys.len())],
-                vec![child],
-            )
-        }
-
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            let (batch, child) = run_batched_profiled(input, catalog, opts)?;
-            let batch = limit_batched(batch, *limit, *offset);
-            let mut detail = Vec::new();
-            if let Some(n) = limit {
-                detail.push(format!("limit={n}"));
-            }
-            if *offset > 0 {
-                detail.push(format!("offset={offset}"));
-            }
-            (batch, "Limit".to_owned(), detail, vec![child])
-        }
-
-        LogicalPlan::Values { rows, .. } => (
-            Batch::from_rows(rows, plan.schema().len()),
-            "Values".to_owned(),
-            Vec::new(),
-            Vec::new(),
-        ),
-
-        LogicalPlan::Union { left, right } => {
-            let (l, lchild) = run_batched_profiled(left, catalog, opts)?;
-            let (r, rchild) = run_batched_profiled(right, catalog, opts)?;
-            (
-                union_batched(&l, &r),
-                "Union".to_owned(),
-                Vec::new(),
-                vec![lchild, rchild],
-            )
-        }
-
-        LogicalPlan::Extend {
-            input,
-            related,
-            key_col,
-            rating,
-            as_name,
-            ..
-        } => {
-            let (i, ichild) = run_batched_profiled(input, catalog, opts)?;
-            let (r, rchild) = run_batched_profiled(related, catalog, opts)?;
-            let rows_in = i.len();
-            let batch = extend_batched(i, &r, *key_col, *rating)?;
-            let mut detail = vec![
-                format!("kind={}", if *rating { "ratings" } else { "set" }),
-                format!("key=#{key_col}"),
-                format!("as={as_name}"),
-            ];
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Extend".to_owned(), detail, vec![ichild, rchild])
-        }
-
-        LogicalPlan::Recommend {
-            target,
-            comparator,
-            spec,
-            ..
-        } => {
-            let (t, tchild) = run_batched_profiled(target, catalog, opts)?;
-            let (c, cchild) = run_batched_profiled(comparator, catalog, opts)?;
-            let rows_in = t.len();
-            let batch = recommend_batched(&t, &c, spec)?;
-            let mut detail = vec![
-                format!("method={}", spec.method.name()),
-                format!("agg={}", spec.agg),
-            ];
-            if let Some(k) = spec.k {
-                detail.push(format!("top={k}"));
-            }
-            if spec.exclude_seen.is_some() {
-                detail.push("exclude_seen".to_owned());
-            }
-            push_adaptive_detail(&mut detail, opts, rows_in, &None);
-            (batch, "Recommend".to_owned(), detail, vec![tchild, cchild])
-        }
-    };
+    let mut children = Vec::new();
+    let (batch, facts) = run_node(plan, catalog, opts, Some(&mut children))?;
     let elapsed = t0.elapsed();
     if cr_obs::enabled() {
+        // Pre-resolved per-kind histogram: elapsed is already measured,
+        // recording is one atomic bump (no Span, no registry lock).
         metrics().op_hist(plan).record_duration(elapsed);
     }
+    let (op, detail) = describe(plan, facts, batch.len());
     if span.is_recording() {
         span.set_name(&op);
         span.attr("rows_out", batch.len().to_string());
@@ -2846,14 +1760,221 @@ fn run_batched_profiled(
             span.attr("detail", detail.join(" "));
         }
     }
-    let profile = OpProfile {
+    sink.push(OpProfile {
         op,
         detail,
         rows_out: batch.len(),
         elapsed,
         children,
+    });
+    Ok(batch)
+}
+
+/// Run one plan node's batched operator over its children's output,
+/// passing the profile sink (if any) down to the children.
+fn run_node(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    mut children: Option<&mut Vec<OpProfile>>,
+) -> RelResult<(Batch, OpFacts)> {
+    let mut child = |p: &LogicalPlan| run_batched(p, catalog, opts, children.as_deref_mut());
+    Ok(match plan {
+        LogicalPlan::Scan {
+            table,
+            projection,
+            filter,
+            ..
+        } => {
+            let (batch, path, batches) =
+                catalog.with_table(table, |t| scan_batched(t, projection, filter, opts))??;
+            (batch, OpFacts::Scan(path, batches))
+        }
+
+        LogicalPlan::Filter { input, predicate } => {
+            let batch = child(input)?;
+            let (keep, batches) = filter_selection(&batch, predicate, opts.batch_size)?;
+            (batch.select(keep), OpFacts::Batches(batches))
+        }
+
+        LogicalPlan::Project { input, exprs, .. } => {
+            let (batch, batches) = project_batched(&child(input)?, exprs, opts.batch_size)?;
+            (batch, OpFacts::Batches(batches))
+        }
+
+        LogicalPlan::Join {
+            left,
+            right,
+            kind,
+            on,
+            ..
+        } => {
+            let l = child(left)?;
+            let r = child(right)?;
+            let (batch, info) = join_batched(&l, &r, *kind, on)?;
+            (batch, OpFacts::Join(info))
+        }
+
+        LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+            ..
+        } => {
+            let rows = aggregate_batched(&child(input)?, group_by, aggs)?;
+            (
+                Batch::from_rows(&rows, group_by.len() + aggs.len()),
+                OpFacts::None,
+            )
+        }
+
+        LogicalPlan::Sort { input, keys } => (sort_batched(child(input)?, keys)?, OpFacts::None),
+
+        LogicalPlan::Limit {
+            input,
+            limit,
+            offset,
+        } => (limit_batched(child(input)?, *limit, *offset), OpFacts::None),
+
+        LogicalPlan::Values { rows, .. } => {
+            (Batch::from_rows(rows, plan.schema().len()), OpFacts::None)
+        }
+
+        LogicalPlan::Union { left, right } => {
+            let l = child(left)?;
+            let r = child(right)?;
+            (union_batched(&l, &r), OpFacts::None)
+        }
+
+        LogicalPlan::Extend {
+            input,
+            related,
+            key_col,
+            rating,
+            ..
+        } => {
+            let i = child(input)?;
+            let r = child(related)?;
+            (extend_batched(i, &r, *key_col, *rating)?, OpFacts::None)
+        }
+
+        LogicalPlan::Recommend {
+            target,
+            comparator,
+            spec,
+            ..
+        } => {
+            let t = child(target)?;
+            let c = child(comparator)?;
+            (recommend_batched(&t, &c, spec)?, OpFacts::None)
+        }
+    })
+}
+
+/// The EXPLAIN ANALYZE operator name and detail fields for one node that
+/// produced `rows_out` rows.
+fn describe(plan: &LogicalPlan, facts: OpFacts, rows_out: usize) -> (String, Vec<String>) {
+    let mut detail = Vec::new();
+    let op = match plan {
+        LogicalPlan::Scan {
+            table,
+            alias,
+            filter,
+            ..
+        } => {
+            if let OpFacts::Scan(path, batches) = facts {
+                detail.push(format!("access={path}"));
+                if let Some(f) = filter {
+                    detail.push(format!("filter={f}"));
+                }
+                detail.push(format!("batches={batches}"));
+                detail.push(format!("selected={rows_out}"));
+            }
+            match alias {
+                Some(a) if a != table => format!("Scan {table} AS {a}"),
+                _ => format!("Scan {table}"),
+            }
+        }
+
+        LogicalPlan::Filter { predicate, .. } => {
+            detail.push(format!("predicate={predicate}"));
+            if let OpFacts::Batches(batches) = facts {
+                detail.push(format!("batches={batches}"));
+            }
+            detail.push(format!("selected={rows_out}"));
+            "Filter".to_owned()
+        }
+
+        LogicalPlan::Project { exprs, .. } => {
+            detail.push(format!("exprs={}", exprs.len()));
+            if let OpFacts::Batches(batches) = facts {
+                detail.push(format!("batches={batches}"));
+            }
+            "Project".to_owned()
+        }
+
+        LogicalPlan::Join { kind, .. } => {
+            detail.push(format!("kind={kind:?}"));
+            match facts {
+                OpFacts::Join(info) if info.hash => {
+                    detail.push(format!("keys={}", info.keys));
+                    detail.push("build=right".to_owned());
+                    "HashJoin".to_owned()
+                }
+                _ => "NestedLoopJoin".to_owned(),
+            }
+        }
+
+        LogicalPlan::Aggregate { group_by, aggs, .. } => {
+            detail.push(format!("group_by={}", group_by.len()));
+            detail.push(format!("aggs={}", aggs.len()));
+            "Aggregate".to_owned()
+        }
+
+        LogicalPlan::Sort { keys, .. } => {
+            detail.push(format!("keys={}", keys.len()));
+            "Sort".to_owned()
+        }
+
+        LogicalPlan::Limit { limit, offset, .. } => {
+            if let Some(n) = limit {
+                detail.push(format!("limit={n}"));
+            }
+            if *offset > 0 {
+                detail.push(format!("offset={offset}"));
+            }
+            "Limit".to_owned()
+        }
+
+        LogicalPlan::Values { .. } => "Values".to_owned(),
+
+        LogicalPlan::Union { .. } => "Union".to_owned(),
+
+        LogicalPlan::Extend {
+            key_col,
+            rating,
+            as_name,
+            ..
+        } => {
+            detail.push(format!("kind={}", if *rating { "ratings" } else { "set" }));
+            detail.push(format!("key=#{key_col}"));
+            detail.push(format!("as={as_name}"));
+            "Extend".to_owned()
+        }
+
+        LogicalPlan::Recommend { spec, .. } => {
+            detail.push(format!("method={}", spec.method.name()));
+            detail.push(format!("agg={}", spec.agg));
+            if let Some(k) = spec.k {
+                detail.push(format!("top={k}"));
+            }
+            if spec.exclude_seen.is_some() {
+                detail.push("exclude_seen".to_owned());
+            }
+            "Recommend".to_owned()
+        }
     };
-    Ok((batch, profile))
+    (op, detail)
 }
 
 #[cfg(test)]
@@ -3147,113 +2268,6 @@ mod tests {
         assert_eq!(rs.rows.len(), 1);
     }
 
-    /// Options that force every parallelizable operator to split, even on
-    /// tiny test tables and single-CPU hosts. `batch_size: 0` pins the
-    /// row executor — the only path that partitions.
-    fn par(n: usize) -> ExecOptions {
-        ExecOptions {
-            parallelism: n,
-            min_partition_rows: 1,
-            adaptive: false,
-            batch_size: 0,
-        }
-    }
-
-    #[test]
-    fn parallel_results_match_serial() {
-        let db = db();
-        let queries = [
-            "SELECT * FROM courses",
-            "SELECT id, units FROM courses WHERE units >= 3 AND dep <> 'MATH'",
-            "SELECT courses.id, comments.text FROM courses \
-             JOIN comments ON courses.id = comments.course_id",
-            "SELECT courses.id, comments.text FROM courses \
-             LEFT JOIN comments ON courses.id = comments.course_id",
-            "SELECT dep, COUNT(*) AS n, SUM(units) AS su, MIN(units) AS mn, \
-             MAX(units) AS mx, COUNT(DISTINCT units) AS d \
-             FROM courses GROUP BY dep",
-            "SELECT COUNT(*) AS c, MAX(units) AS m FROM courses WHERE id > 999",
-            "SELECT id FROM courses ORDER BY id LIMIT 2 OFFSET 1",
-        ];
-        for sql in queries {
-            let serial = db.query_sql(sql).unwrap();
-            for n in [2, 3, 8] {
-                let parallel = db.query_sql_with(sql, &par(n)).unwrap();
-                assert_eq!(parallel, serial, "parallelism={n} sql={sql}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_join_null_keys_match_serial() {
-        let db = Database::new();
-        db.execute_sql("CREATE TABLE a (x INT)").unwrap();
-        db.execute_sql("CREATE TABLE b (y INT)").unwrap();
-        db.execute_sql("INSERT INTO a VALUES (NULL),(1),(2),(NULL),(2)")
-            .unwrap();
-        db.execute_sql("INSERT INTO b VALUES (NULL),(1),(2),(2)")
-            .unwrap();
-        for sql in [
-            "SELECT * FROM a JOIN b ON a.x = b.y",
-            "SELECT * FROM a LEFT JOIN b ON a.x = b.y",
-        ] {
-            let serial = db.query_sql(sql).unwrap();
-            let parallel = db.query_sql_with(sql, &par(4)).unwrap();
-            assert_eq!(parallel, serial, "sql={sql}");
-        }
-    }
-
-    #[test]
-    fn parallel_profile_reports_partitions() {
-        let db = db();
-        let (rs, profile) = db
-            .explain_analyze_sql_with("SELECT * FROM courses", &par(2))
-            .unwrap();
-        assert_eq!(rs.rows.len(), 5);
-        let scan = profile.find("Scan courses").expect("scan profiled");
-        assert!(
-            scan.detail.iter().any(|d| d == "partitions=2"),
-            "detail: {:?}",
-            scan.detail
-        );
-        assert!(
-            scan.detail
-                .iter()
-                .any(|d| d.starts_with("partition_times=")),
-            "detail: {:?}",
-            scan.detail
-        );
-    }
-
-    #[test]
-    fn parallel_metrics_count_partitions() {
-        cr_obs::install();
-        let db = db();
-        let before = cr_obs::Registry::global()
-            .snapshot()
-            .counter("relation.parallel.partitions_spawned")
-            .unwrap_or(0);
-        db.query_sql_with("SELECT * FROM courses", &par(3)).unwrap();
-        let after = cr_obs::Registry::global()
-            .snapshot()
-            .counter("relation.parallel.partitions_spawned")
-            .unwrap_or(0);
-        assert!(after >= before + 3, "before={before} after={after}");
-    }
-
-    #[test]
-    fn database_default_options_apply() {
-        let db = db().with_exec_options(par(4));
-        assert_eq!(db.exec_options().parallelism, 4);
-        let rs = db.query_sql("SELECT * FROM courses").unwrap();
-        assert_eq!(rs.rows.len(), 5);
-        let serial = Database::clone(&db)
-            .with_exec_options(ExecOptions::default())
-            .query_sql("SELECT * FROM courses")
-            .unwrap();
-        assert_eq!(rs, serial);
-    }
-
     /// Fixture for the FlexRecs operators: students and the courses they
     /// took, with ratings (one NULL, one duplicate enrollment).
     fn nest_db() -> Database {
@@ -3438,32 +2452,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_recommend_parallel_match_serial() {
-        let db = nest_db();
-        let mk = || {
-            let targets = PlanBuilder::from_plan(extend_students(&db, false));
-            let comparators = PlanBuilder::from_plan(extend_students(&db, false));
-            let spec = RecSpec {
-                target_col: 2,
-                comparator_col: 2,
-                method: RecMethod::Set(crate::similarity::SetSim::Dice),
-                agg: RecAggPlan::Avg,
-                k: Some(2),
-                unbounded_ok: false,
-                score_name: "score".into(),
-                exclude_seen: None,
-            };
-            targets.recommend(comparators, spec).unwrap().build()
-        };
-        let plan = mk();
-        let serial = db.run_plan(&plan).unwrap();
-        for n in [2, 3, 8] {
-            let parallel = db.run_plan_with(&plan, &par(n)).unwrap();
-            assert_eq!(parallel, serial, "parallelism={n}");
-        }
-    }
-
-    #[test]
     fn extend_key_must_be_scalar() {
         let db = nest_db();
         // Extending on the nested column itself errors.
@@ -3517,16 +2505,53 @@ mod tests {
         );
     }
 
+    /// SUM over one column under both executors (they share `AggState`).
+    fn sum_both(db: &Database, sql: &str) -> RelResult<Value> {
+        let reference = db.query_sql_with(sql, &ExecOptions { batch_size: 0 });
+        let batched = db.query_sql(sql);
+        assert_eq!(reference, batched, "{sql}");
+        Ok(batched?.rows[0][0].clone())
+    }
+
     #[test]
-    fn split_owned_is_contiguous_and_complete() {
-        for len in [0usize, 1, 5, 10, 17] {
-            for parts in 1..=6 {
-                let v: Vec<usize> = (0..len).collect();
-                let chunks = split_owned(v, parts);
-                assert_eq!(chunks.len(), parts);
-                let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                assert_eq!(flat, (0..len).collect::<Vec<_>>(), "{len}/{parts}");
+    fn int_sum_is_exact_past_2_pow_53() {
+        let db = Database::new();
+        db.execute_sql("CREATE TABLE n (x INT)").unwrap();
+        db.execute_sql("INSERT INTO n VALUES (9007199254740993),(0),(NULL)")
+            .unwrap();
+        let sum = sum_both(&db, "SELECT SUM(x) AS s FROM n").unwrap();
+        assert_eq!(sum, Value::Int(9_007_199_254_740_993));
+    }
+
+    #[test]
+    fn int_sum_overflow_is_an_error() {
+        let db = Database::new();
+        db.execute_sql("CREATE TABLE n (x INT)").unwrap();
+        db.execute_sql("INSERT INTO n VALUES (9223372036854775807),(1)")
+            .unwrap();
+        let err = sum_both(&db, "SELECT SUM(x) AS s FROM n").unwrap_err();
+        assert!(matches!(err, RelError::Arithmetic(_)), "{err:?}");
+    }
+
+    #[test]
+    fn sum_switches_to_float_at_the_first_float() {
+        let sum = |vals: Vec<Value>| {
+            let mut state = AggState::new(&AggExpr {
+                func: AggFn::Sum,
+                arg: Expr::lit(0i64),
+                distinct: false,
+                name: String::new(),
+            });
+            for v in vals {
+                state.update(v, false).unwrap();
             }
-        }
+            state.finish().unwrap()
+        };
+        assert_eq!(
+            sum(vec![Value::Int(3), Value::Float(0.5), Value::Int(2)]),
+            Value::Float(5.5)
+        );
+        assert_eq!(sum(vec![Value::Int(3), Value::Null]), Value::Int(3));
+        assert!(sum(vec![Value::Null]).is_null());
     }
 }

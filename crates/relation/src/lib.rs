@@ -15,11 +15,12 @@
 //! * a [`plan`] layer: logical plans, a builder, and an optimizer
 //!   (predicate pushdown, projection pruning, constant folding, index
 //!   selection),
-//! * a vectorized [`exec`]ution engine (seq/index scan, filter, project,
+//! * one vectorized [`exec`]ution engine (seq/index scan, filter, project,
 //!   nested-loop and hash joins, hash aggregation, sort, limit, union)
-//!   running batch-at-a-time over [`batch`] columns with selection
-//!   vectors; the row-at-a-time executor remains selectable
-//!   (`ExecOptions { batch_size: 0, .. }`) as the differential oracle,
+//!   running serially batch-at-a-time over [`batch`] columns with
+//!   selection vectors, profiled through the same walker; the serial
+//!   row-at-a-time executor remains selectable
+//!   (`ExecOptions { batch_size: 0 }`) as the differential reference,
 //! * a [`sql`] front end (lexer → parser → binder) for the subset needed by
 //!   the paper's workloads: `CREATE TABLE`, `INSERT`, `SELECT` with joins /
 //!   `WHERE` / `GROUP BY` / `HAVING` / `ORDER BY` / `LIMIT`, `UPDATE`,

@@ -1,15 +1,10 @@
 #!/usr/bin/env python3
-"""Run the PR2 hot-path benchmarks and emit BENCH_pr2.json.
+"""Run the PR2 cache benchmark and emit BENCH_pr2.json.
 
-Runs `cargo bench -p cr-bench --bench parallel_exec --bench rec_cache`,
-parses the `[PR2] scenario=... median_ns=...` lines, and writes a JSON
-report with raw medians plus derived speedups:
-
-* serial-vs-parallel for scan / hash join / aggregation (parallelism
-  1 → 2/4/8),
-* exhaustive-vs-top-k search at k=10,
-* cold-vs-warm recommendation and planner requests through the
-  versioned cache.
+Runs `cargo bench -p cr-bench --bench rec_cache`, parses the
+`[PR2] scenario=... median_ns=...` lines, and writes a JSON report with
+raw medians plus the cold-vs-warm speedups of recommendation and planner
+requests through the versioned cache.
 
 Pass --smoke to run single iterations over shrunken data (CI canary).
 """
@@ -20,9 +15,7 @@ import re
 import subprocess
 import sys
 
-LINE = re.compile(
-    r"\[PR2\] scenario=(\S+?)(?:\s+parallelism=(\d+))?(?:\s+k=\d+)?\s+median_ns=(\d+)"
-)
+LINE = re.compile(r"\[PR2\] scenario=(\S+)\s+median_ns=(\d+)")
 
 
 def run_bench(name, smoke):
@@ -31,12 +24,7 @@ def run_bench(name, smoke):
         cmd.append("--smoke")
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     sys.stdout.write(out)
-    results = {}
-    for m in LINE.finditer(out):
-        scenario, par, ns = m.group(1), m.group(2), int(m.group(3))
-        key = f"{scenario}_p{par}" if par else scenario
-        results[key] = ns
-    return results
+    return {m.group(1): int(m.group(2)) for m in LINE.finditer(out)}
 
 
 def speedup(results, base, new):
@@ -47,19 +35,9 @@ def speedup(results, base, new):
 
 def main():
     smoke = "--smoke" in sys.argv[1:]
-    results = run_bench("parallel_exec", smoke)
-    results.update(run_bench("rec_cache", smoke))
+    results = run_bench("rec_cache", smoke)
 
     speedups = {}
-    for scenario in ("scan_filter", "hash_join", "aggregate"):
-        for p in (2, 4, 8):
-            s = speedup(results, f"{scenario}_p1", f"{scenario}_p{p}")
-            if s is not None:
-                speedups[f"{scenario}_p{p}_vs_serial"] = s
-    for q in range(3):
-        s = speedup(results, f"search_exhaustive_q{q}", f"search_topk_q{q}")
-        if s is not None:
-            speedups[f"search_topk_q{q}_vs_exhaustive"] = s
     for scenario in ("recs", "plan"):
         s = speedup(results, f"{scenario}_cold", f"{scenario}_warm")
         if s is not None:
@@ -77,11 +55,8 @@ def main():
         f.write("\n")
     print(f"wrote {os.path.abspath(out_path)}")
 
-    best = max(
-        [v for k, v in speedups.items() if not k.startswith(("scan", "hash", "aggregate"))]
-        or [0],
-    )
-    print(f"best non-partition speedup: {best}x")
+    for name, s in sorted(speedups.items()):
+        print(f"{name}: {s}x")
 
 
 if __name__ == "__main__":

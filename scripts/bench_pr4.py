@@ -8,8 +8,7 @@ writes a JSON report with raw medians plus derived ratios:
 * per-strategy compile cost (lower + optimize a workflow to a
   LogicalPlan) and its share of one serial plan execution,
 * per-strategy execution: interpreter vs compiled plan
-  (plan_speedup = interpreter / plan) and the parallel payoff at four
-  workers (parallel_payoff = plan / plan_par4).
+  (plan_speedup = interpreter / plan).
 
 Pass --smoke to run single iterations over shrunken data (CI canary).
 """
@@ -53,9 +52,6 @@ def main():
         r = ratio(results, f"workflow_exec_{s}_interpreter", f"workflow_exec_{s}_plan")
         if r is not None:
             ratios[f"{s}_plan_speedup"] = r
-        r = ratio(results, f"workflow_exec_{s}_plan", f"workflow_exec_{s}_plan_par4")
-        if r is not None:
-            ratios[f"{s}_parallel_payoff_par4"] = r
         r = ratio(results, f"workflow_compile_{s}", f"workflow_exec_{s}_plan")
         if r is not None:
             ratios[f"{s}_compile_share_of_exec"] = r

@@ -7,20 +7,7 @@ raw medians plus derived ratios and pass/fail checks:
 
 * per-strategy tracing overhead (traced / plain, interleaved samples;
   acceptance <= 1.05) and metrics overhead (metrics / plain),
-* per-strategy adaptive parallel payoff (plan / plan_par4; acceptance
-  >= 1.0 — the guard must keep a `parallelism=4` request from losing
-  to serial),
 * idle span cost with the tracer disabled and enabled.
-
-Payoff estimation: the ratio uses the *minimum* over interleaved
-samples (`min_ns` lines), not the median — scheduler noise only ever
-inflates a sample, so mins of two runs of the same code converge to the
-same floor. When the host has one CPU the adaptive guard routes the
-par4 request through the *identical* serial code path, so the true
-ratio is exactly 1.0; the report keeps the raw ratio and settles values
-within +/-5% of 1.0 up to 1.0 — but only on a 1-CPU host, so a broken
-guard (real thread-spawn overhead is far more than 5% on these
-millisecond workloads) still fails the check.
 
 Pass --smoke to run single iterations over shrunken data (CI canary).
 """
@@ -32,12 +19,8 @@ import subprocess
 import sys
 
 LINE = re.compile(r"\[PR6\] scenario=(\S+)\s+median_ns=(\d+)")
-MIN_LINE = re.compile(r"\[PR6\] scenario=(\S+)\s+min_ns=(\d+)")
-CPUS = re.compile(r"\[PR6\] host_cpus=(\d+)")
 
 TRACING_OVERHEAD_MAX = 1.05
-PAYOFF_MIN = 1.0
-PAYOFF_NOISE_TOL = 0.05
 IDLE_DISABLED_MAX_NS = 100
 
 
@@ -47,10 +30,7 @@ def run_bench(name, smoke):
         cmd.append("--smoke")
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     sys.stdout.write(out)
-    results = {m.group(1): int(m.group(2)) for m in LINE.finditer(out)}
-    mins = {m.group(1): int(m.group(2)) for m in MIN_LINE.finditer(out)}
-    cpus = CPUS.search(out)
-    return results, mins, int(cpus.group(1)) if cpus else None
+    return {m.group(1): int(m.group(2)) for m in LINE.finditer(out)}
 
 
 def ratio(results, num, den):
@@ -61,7 +41,7 @@ def ratio(results, num, den):
 
 def main():
     smoke = "--smoke" in sys.argv[1:]
-    results, mins, bench_cpus = run_bench("tracing_overhead", smoke)
+    results = run_bench("tracing_overhead", smoke)
 
     strategies = sorted(
         m.group(1)
@@ -80,19 +60,6 @@ def main():
         if r is not None:
             ratios[f"{s}_metrics_overhead"] = r
 
-        raw = ratio(mins, f"workflow_exec_{s}_plan", f"workflow_exec_{s}_plan_par4")
-        if raw is None:
-            raw = ratio(results, f"workflow_exec_{s}_plan", f"workflow_exec_{s}_plan_par4")
-        if raw is not None:
-            ratios[f"{s}_parallel_payoff_par4_raw"] = raw
-            payoff = raw
-            if bench_cpus == 1 and abs(raw - 1.0) <= PAYOFF_NOISE_TOL:
-                # Guard engaged: par4 ran the identical serial path; see
-                # the module docstring for why this settles to 1.0.
-                payoff = max(raw, 1.0)
-            ratios[f"{s}_parallel_payoff_par4"] = payoff
-            checks[f"{s}_parallel_payoff_par4_ge_1.0"] = payoff >= PAYOFF_MIN
-
     idle_off = results.get("idle_disabled_span_ns")
     idle_on = results.get("idle_enabled_span_ns")
     if idle_off is not None:
@@ -100,9 +67,8 @@ def main():
 
     report = {
         "smoke": smoke,
-        "host_cpus": bench_cpus if bench_cpus is not None else os.cpu_count(),
+        "host_cpus": os.cpu_count(),
         "median_ns": results,
-        "min_ns": mins,
         "ratios": ratios,
         "idle_span_ns": {"disabled": idle_off, "enabled": idle_on},
         "checks": checks,
@@ -116,8 +82,7 @@ def main():
 
     for s in strategies:
         ov = ratios.get(f"{s}_tracing_overhead")
-        po = ratios.get(f"{s}_parallel_payoff_par4")
-        print(f"{s}: tracing overhead {ov}x, parallel payoff {po}x")
+        print(f"{s}: tracing overhead {ov}x")
     print(f"idle span: disabled {idle_off}ns, enabled {idle_on}ns")
     if not report["all_checks_pass"]:
         failed = [k for k, v in checks.items() if not v]

@@ -2,8 +2,7 @@
 //! an *optimization*, not an approximation. For any generated database,
 //! query, or FlexRecs workflow, the batched pipeline must return
 //! byte-identical results to the row-at-a-time oracle (`batch_size: 0`) —
-//! at every batch size, and whether the oracle runs serially or
-//! partitioned.
+//! at every batch size.
 //!
 //! Predicates and data are NULL-heavy on purpose: three-valued logic,
 //! null join keys, null ratings, and null function arguments are where a
@@ -23,27 +22,11 @@ use proptest::prelude::*;
 const BATCH_SIZES: &[usize] = &[1, 7, 1024];
 
 fn batched(b: usize) -> ExecOptions {
-    ExecOptions {
-        batch_size: b,
-        ..ExecOptions::default()
-    }
+    ExecOptions { batch_size: b }
 }
 
 fn oracle() -> ExecOptions {
-    ExecOptions {
-        batch_size: 0,
-        ..ExecOptions::default()
-    }
-}
-
-/// The row oracle with forced partitioning (the only path that splits).
-fn oracle_par(n: usize) -> ExecOptions {
-    ExecOptions {
-        parallelism: n,
-        min_partition_rows: 1,
-        adaptive: false,
-        batch_size: 0,
-    }
+    ExecOptions { batch_size: 0 }
 }
 
 // ---------------------------------------------------------------------
@@ -108,13 +91,10 @@ proptest! {
     fn batched_sql_matches_row_oracle(
         rows1 in proptest::collection::vec((0i64..6, -20i64..20, 0usize..6), 0..120),
         rows2 in proptest::collection::vec((0i64..6, -20i64..20), 0..80),
-        parallelism in 2usize..6,
     ) {
         let db = build_db(&rows1, &rows2);
         for q in QUERIES {
             let row = db.query_sql_with(q, &oracle()).unwrap();
-            let row_par = db.query_sql_with(q, &oracle_par(parallelism)).unwrap();
-            prop_assert_eq!(&row, &row_par, "row oracle diverged under partitioning: {}", q);
             for &b in BATCH_SIZES {
                 let vec = db.query_sql_with(q, &batched(b)).unwrap();
                 prop_assert_eq!(&row, &vec, "batch_size={} diverged on {}", b, q);
@@ -406,20 +386,10 @@ proptest! {
         users in proptest::collection::vec(0i64..7, 0..14),
         ratings in proptest::collection::vec((0i64..18, 0i64..6, 0i64..6), 0..40),
         wf in arb_workflow(),
-        parallelism in 2usize..6,
     ) {
         let db = build_social_db(&users, &ratings);
         let catalog = db.catalog();
         let row = compile_and_run_with(&wf, &catalog, &oracle());
-        let row_par = compile_and_run_with(&wf, &catalog, &oracle_par(parallelism));
-        match (&row, &row_par) {
-            (Ok(r), Ok(p)) => prop_assert_eq!(
-                &r.result, &p.result,
-                "row oracle diverged under partitioning\n{}", wf.explain()
-            ),
-            (Err(_), Err(_)) => {}
-            _ => prop_assert!(false, "serial/parallel oracle error disagreement\n{}", wf.explain()),
-        }
         for &b in BATCH_SIZES {
             let vec = compile_and_run_with(&wf, &catalog, &batched(b));
             match (&row, &vec) {
