@@ -2,11 +2,10 @@
 //! recommendations under a write storm. A Zipf-skewed mix of comment
 //! inserts (mostly by students outside any cached neighborhood — spared
 //! by the key gate), occasional enrollments (whole-table dependency —
-//! dropped), and timed lookups runs twice: once with push-advance
-//! invalidation on (entries survive disjoint writes, neighbor comments
-//! fold in place) and once with it off (every dependency-table write
-//! drops dependent entries). Emits `[PR9] scenario=… key=value …` lines
-//! for `scripts/bench_pr9.py`.
+//! dropped), and timed lookups runs against push-advance maintenance:
+//! entries survive disjoint writes and neighbor comments fold in place.
+//! Emits a `[PR9] scenario=churn_push key=value …` line for
+//! `scripts/bench_pr9.py`.
 
 // Benches are measurement harnesses, not library code: aborting on a
 // broken fixture is the right behavior.
@@ -14,7 +13,6 @@
 
 use std::time::Instant;
 
-use courserank::cache::set_push_invalidation;
 use courserank::db::{Comment, EnrollStatus, Enrollment};
 use courserank::model::{Quarter, Term};
 use courserank::services::recs::{RecOptions, SimilarityBasis};
@@ -33,7 +31,7 @@ fn counter(name: &str) -> u64 {
     cr_obs::Registry::global().counter(name).get()
 }
 
-struct ModeReport {
+struct ChurnReport {
     lookups: usize,
     hits: u64,
     misses: u64,
@@ -43,9 +41,8 @@ struct ModeReport {
     p95_ns: u128,
 }
 
-fn run_mode(push: bool, fraction: f64, ops: usize, seed: u64) -> ModeReport {
+fn run_churn(fraction: f64, ops: usize, seed: u64) -> ChurnReport {
     let (app, stats) = system(fraction);
-    let prev = set_push_invalidation(push);
     let mut rng = StdRng::seed_from_u64(seed);
     let opts = RecOptions {
         basis: SimilarityBasis::CoursesTaken,
@@ -107,7 +104,6 @@ fn run_mode(push: bool, fraction: f64, ops: usize, seed: u64) -> ModeReport {
             latencies.push(t0.elapsed().as_nanos());
         }
     }
-    set_push_invalidation(prev);
 
     latencies.sort_unstable();
     let p95_ns = latencies
@@ -119,7 +115,7 @@ fn run_mode(push: bool, fraction: f64, ops: usize, seed: u64) -> ModeReport {
         )
         .copied()
         .unwrap_or(0);
-    ModeReport {
+    ChurnReport {
         lookups: latencies.len(),
         hits: counter("courserank.reccache.hits") - h0,
         misses: counter("courserank.reccache.misses") - m0,
@@ -134,20 +130,17 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let fraction = if smoke { 0.02 } else { 0.1 };
     let ops = if smoke { 400 } else { 4000 };
-    cr_obs::install();
 
-    for (label, push) in [("push", true), ("pull", false)] {
-        let r = run_mode(push, fraction, ops, 0x9a5e);
-        let rate = if r.hits + r.misses > 0 {
-            100.0 * r.hits as f64 / (r.hits + r.misses) as f64
-        } else {
-            0.0
-        };
-        println!(
-            "[PR9] scenario=churn_{label} lookups={} hits={} misses={} \
-             hit_rate_pct={rate:.1} p95_ns={} spared={} delta_applied={} \
-             invalidations={}",
-            r.lookups, r.hits, r.misses, r.p95_ns, r.spared, r.delta_applied, r.invalidations,
-        );
-    }
+    let r = run_churn(fraction, ops, 0x9a5e);
+    let rate = if r.hits + r.misses > 0 {
+        100.0 * r.hits as f64 / (r.hits + r.misses) as f64
+    } else {
+        0.0
+    };
+    println!(
+        "[PR9] scenario=churn_push lookups={} hits={} misses={} \
+         hit_rate_pct={rate:.1} p95_ns={} spared={} delta_applied={} \
+         invalidations={}",
+        r.lookups, r.hits, r.misses, r.p95_ns, r.spared, r.delta_applied, r.invalidations,
+    );
 }

@@ -1,15 +1,12 @@
-//! A7 — instrumentation overhead: the observability layer must be
-//! cheap-by-default. Three variants of the same join + aggregate query:
+//! A7 — instrumentation overhead. Three variants of the same join +
+//! aggregate query:
 //!
-//! * `execute_disabled` — metrics registry off (the default), the gate is
-//!   one relaxed atomic load per query;
-//! * `execute_enabled`  — counters + latency histograms recording;
-//! * `explain_analyze`  — full per-operator profiling (one clock read per
+//! * `execute`         — the production path: counters and latency
+//!   histograms always record;
+//! * `explain_analyze` — full per-operator profiling (one clock read per
 //!   plan node, not per row);
-//! * `execute_traced`   — flight recorder on: a span per plan operator
-//!   recorded into the ring (see `tracing_overhead` for the PR6 gate).
-//!
-//! Acceptance: enabled within 5% of disabled on this workload.
+//! * `execute_traced`  — flight recorder on: a span per plan operator
+//!   recorded into the ring (see `tracing_overhead` for its gate).
 
 // Benches are measurement harnesses, not library code: aborting on a
 // broken fixture is the right behavior.
@@ -62,15 +59,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(20);
 
-    cr_obs::disable();
-    group.bench_function("execute_disabled", |b| {
-        b.iter(|| db.query_sql(QUERY).unwrap())
-    });
-
-    cr_obs::enable();
-    group.bench_function("execute_enabled", |b| {
-        b.iter(|| db.query_sql(QUERY).unwrap())
-    });
+    group.bench_function("execute", |b| b.iter(|| db.query_sql(QUERY).unwrap()));
 
     group.bench_function("explain_analyze", |b| {
         b.iter(|| db.explain_analyze_sql(QUERY).unwrap())
@@ -81,7 +70,6 @@ fn bench_obs_overhead(c: &mut Criterion) {
         b.iter(|| db.query_sql(QUERY).unwrap())
     });
     cr_obs::trace::disable();
-    cr_obs::disable();
 
     group.finish();
 }

@@ -471,7 +471,6 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    cr_obs::install();
 
     let server = build_server();
     seed_invariant(&server);

@@ -1,5 +1,5 @@
 //! PR6 — flight-recorder overhead: the same compiled workflows timed
-//! with tracing fully off, with metrics only, and with the tracer
+//! plain (tracer off; metrics are always on) and with the tracer
 //! recording every plan operator into the ring; plus the per-span idle
 //! cost of a disabled tracer. Variants are sampled interleaved
 //! (round-robin) so clock drift and cache warmth hit every variant
@@ -55,8 +55,7 @@ fn main() {
     ];
 
     for (name, wf) in &workflows {
-        // --- tracing overhead: plain vs metrics vs traced, interleaved.
-        cr_obs::disable();
+        // --- tracing overhead: plain vs traced, interleaved.
         trace::disable();
         trace::set_slow_query_threshold(None);
 
@@ -65,36 +64,26 @@ fn main() {
         };
         // Interleave manually: the gate flips are part of each sample's
         // setup, outside the timed region.
-        let mut samples: [Vec<u128>; 3] = std::array::from_fn(|_| Vec::with_capacity(iters));
-        run(); // warmup, untimed (gates off)
+        let mut samples: [Vec<u128>; 2] = std::array::from_fn(|_| Vec::with_capacity(iters));
+        run(); // warmup, untimed (tracer off)
         for _ in 0..iters {
-            cr_obs::disable();
             trace::disable();
             let t0 = Instant::now();
             run();
             samples[0].push(t0.elapsed().as_nanos());
 
-            cr_obs::enable();
-            trace::disable();
-            let t0 = Instant::now();
-            run();
-            samples[1].push(t0.elapsed().as_nanos());
-
-            cr_obs::enable();
             trace::enable();
             let t0 = Instant::now();
             run();
-            samples[2].push(t0.elapsed().as_nanos());
+            samples[1].push(t0.elapsed().as_nanos());
         }
-        cr_obs::disable();
         trace::disable();
         let med = |mut v: Vec<u128>| {
             v.sort_unstable();
             v[v.len() / 2]
         };
-        let [p, m, t] = samples.map(med);
+        let [p, t] = samples.map(med);
         println!("[PR6] scenario=workflow_exec_{name}_plain median_ns={p}");
-        println!("[PR6] scenario=workflow_exec_{name}_metrics median_ns={m}");
         println!("[PR6] scenario=workflow_exec_{name}_traced median_ns={t}");
     }
 

@@ -210,9 +210,8 @@ impl CourseRank {
     /// A snapshot of every process-wide metric: per-service request/error
     /// counters and latency histograms, plus the substrate metrics
     /// (`relation.*`, `textsearch.*`, `flexrecs.*`, `storage.*`). JSON via
-    /// [`cr_obs::MetricsSnapshot::to_json`]; requires
-    /// [`cr_obs::install`] (or `enable`) to have been called, otherwise
-    /// all counters stay zero.
+    /// [`cr_obs::MetricsSnapshot::to_json`]. Collection is always on, so
+    /// no setup call is needed.
     pub fn metrics_snapshot(&self) -> cr_obs::MetricsSnapshot {
         cr_obs::Registry::global().snapshot()
     }
@@ -300,7 +299,6 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_counts_service_requests() {
-        cr_obs::install();
         let app = CourseRank::assemble(small_campus()).unwrap();
         let before = app
             .metrics_snapshot()
@@ -308,8 +306,10 @@ mod tests {
             .unwrap_or(0);
         app.search().search("programming", 10).unwrap();
         app.planner().report(444).unwrap();
+        // Sibling tests search concurrently and always record too, so the
+        // counter grows by at least this request.
         let snap = app.metrics_snapshot();
-        assert_eq!(snap.counter("courserank.search.requests"), Some(before + 1));
+        assert!(snap.counter("courserank.search.requests").unwrap() > before);
         assert!(snap.counter("courserank.planner.requests").unwrap_or(0) >= 1);
         assert!(snap
             .histogram("courserank.search.request_ns")
@@ -322,7 +322,6 @@ mod tests {
 
     #[test]
     fn plan_validate_counters_in_snapshot() {
-        cr_obs::install();
         let app = CourseRank::assemble(small_campus()).unwrap();
         let reg = app.strategies();
         let wf = cr_flexrecs::templates::user_cf(
@@ -350,7 +349,6 @@ mod tests {
     fn cache_metrics_in_snapshot() {
         use crate::services::recs::RecOptions;
 
-        cr_obs::install();
         let app = CourseRank::assemble(small_campus()).unwrap();
         let before = app.metrics_snapshot();
         let b_hits = before.counter("courserank.reccache.hits").unwrap_or(0);

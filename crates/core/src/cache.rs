@@ -48,7 +48,6 @@
 //! and delta functions must be pure over `(old value, event)`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use cr_relation::mutation::Mutation;
@@ -80,20 +79,6 @@ fn metrics() -> &'static CacheMetrics {
             evictions: r.counter("courserank.reccache.evictions"),
         }
     })
-}
-
-/// When false, the mutation observer degrades to the version-bump
-/// scheme: any write to a dependency table drops every dependent entry.
-/// The `cache_churn` benchmark flips this to measure what push-advance
-/// maintenance buys.
-static PUSH_INVALIDATION: AtomicBool = AtomicBool::new(true);
-
-/// Enable/disable push-advance maintenance globally (default on).
-/// Returns the previous setting. Correctness never depends on this —
-/// stamps only advance through the observer, so with it off, lookups
-/// simply see version mismatches and recompute.
-pub fn set_push_invalidation(on: bool) -> bool {
-    PUSH_INVALIDATION.swap(on, Ordering::Relaxed)
 }
 
 /// What a cached value depends on within one base table. Produced by
@@ -415,7 +400,6 @@ impl<V: Clone> VersionedCache<V> {
                 )
             })
             .collect();
-        let recording = cr_obs::enabled();
         {
             let mut store = self.store.lock();
             let valid = match store.entries.get(key) {
@@ -427,16 +411,12 @@ impl<V: Clone> VersionedCache<V> {
             };
             match store.entries.get(key) {
                 Some(e) if valid => {
-                    if recording {
-                        metrics().hits.inc();
-                    }
+                    metrics().hits.inc();
                     return Ok(e.value.clone());
                 }
                 Some(_) => {
                     store.entries.remove(key);
-                    if recording {
-                        metrics().invalidations.inc();
-                    }
+                    metrics().invalidations.inc();
                 }
                 None => {}
             }
@@ -444,9 +424,7 @@ impl<V: Clone> VersionedCache<V> {
         // Compute outside the lock: concurrent misses may duplicate work
         // but never block each other.
         let (value, specs) = f()?;
-        if recording {
-            metrics().misses.inc();
-        }
+        metrics().misses.inc();
         let deps: Vec<(DepSpec, u64)> = specs
             .into_iter()
             .map(|spec| {
@@ -468,9 +446,7 @@ impl<V: Clone> VersionedCache<V> {
             };
             if store.entries.get(&old_key).is_some_and(|e| e.seq == seq) {
                 store.entries.remove(&old_key);
-                if recording {
-                    metrics().evictions.inc();
-                }
+                metrics().evictions.inc();
             }
         }
         let seq = store.next_seq;
@@ -514,30 +490,26 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
     /// React to a one-row delta on `table`: advance, delta-apply, or
     /// drop every dependent entry (see module docs for the protocol).
     fn apply_event(&self, event: &MutationEvent<'_>) {
-        let recording = cr_obs::enabled();
-        let push = PUSH_INVALIDATION.load(Ordering::Relaxed);
         let delta = self.delta.lock().clone();
         let table = event.table.to_ascii_lowercase();
         let mut store = self.store.lock();
         let mut dropped = 0u64;
-        let m = recording.then(metrics);
+        let m = metrics();
         store.entries.retain(|key, entry| {
             let Some(pos) = entry.deps.iter().position(|(d, _)| d.table == table) else {
                 return true; // independent of this table
             };
             let stamped = entry.deps[pos].1;
-            if !push || stamped + 1 != event.version {
-                // Coarse mode, or the entry missed an earlier delta
-                // (pre-subscription or raced): only recompute is sound.
+            if stamped + 1 != event.version {
+                // The entry missed an earlier delta (pre-subscription or
+                // raced): only recompute is sound.
                 dropped += 1;
                 return false;
             }
             if !entry.deps[pos].0.intersects(event) {
                 entry.deps[pos].1 = event.version;
                 entry.spared += 1;
-                if let Some(m) = m {
-                    m.spared.inc();
-                }
+                m.spared.inc();
                 return true;
             }
             if let Some(delta) = &delta {
@@ -545,25 +517,20 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
                     entry.value = next;
                     entry.deps[pos].1 = event.version;
                     entry.delta_applied += 1;
-                    if let Some(m) = m {
-                        m.delta_applied.inc();
-                    }
+                    m.delta_applied.inc();
                     return true;
                 }
             }
             dropped += 1;
             false
         });
-        if let Some(m) = m {
-            m.invalidations.add(dropped);
-        }
+        m.invalidations.add(dropped);
     }
 
     /// DDL on a dependency table: versions restart on re-creation, so
     /// stamps from the old incarnation must not survive.
     fn drop_dependents(&self, table: &str) {
         let table = table.to_ascii_lowercase();
-        let recording = cr_obs::enabled();
         let mut store = self.store.lock();
         let mut dropped = 0u64;
         store.entries.retain(|_, entry| {
@@ -573,7 +540,7 @@ impl<V: Clone + Send + Sync + 'static> VersionedCache<V> {
             }
             !dependent
         });
-        if recording && dropped > 0 {
+        if dropped > 0 {
             metrics().invalidations.add(dropped);
         }
     }
@@ -971,32 +938,6 @@ mod tests {
         db.execute_sql("UPDATE T SET X = 0 WHERE Id = 1").unwrap();
         assert_eq!(lookup(), 5);
         assert_eq!(computes.get(), 2);
-    }
-
-    #[test]
-    fn push_invalidation_off_degrades_to_version_bumps() {
-        let db = db_with_table();
-        let cache: Arc<VersionedCache<i64>> = Arc::new(VersionedCache::default());
-        VersionedCache::subscribe(&cache, &db.catalog());
-        let prev = set_push_invalidation(false);
-        let computes = std::cell::Cell::new(0usize);
-        let lookup = || {
-            cache
-                .get_or_compute_refined(&db.catalog(), "k", &["T"], || {
-                    computes.set(computes.get() + 1);
-                    Ok((1, vec![DepSpec::table("T").with_key("Id", [Value::Int(1)])]))
-                })
-                .unwrap()
-        };
-        lookup();
-        db.execute_sql("INSERT INTO T VALUES (3, 30)").unwrap();
-        lookup();
-        set_push_invalidation(prev);
-        assert_eq!(
-            computes.get(),
-            2,
-            "with push maintenance off, any write must invalidate"
-        );
     }
 
     #[test]

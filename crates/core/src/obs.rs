@@ -7,9 +7,9 @@
 //! registry lock. When tracing is on, each request additionally opens a
 //! **root trace span** named `courserank.<service>.request`; everything
 //! below (FlexRecs stages, plan operators, partitions, WAL flushes)
-//! parents under it, giving one trace per service request. When
-//! observability is disabled the wrapper costs two relaxed atomic loads
-//! and never reads the clock.
+//! parents under it, giving one trace per service request. With tracing
+//! off the wrapper costs one relaxed load, one clock read pair and three
+//! relaxed atomic bumps.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,16 +46,6 @@ impl SvcMetrics {
         } else {
             cr_obs::trace::TraceSpan::noop()
         };
-        if !cr_obs::enabled() {
-            if span.is_recording() {
-                let out = f();
-                if out.is_err() {
-                    span.attr("error", "true");
-                }
-                return out;
-            }
-            return f();
-        }
         let start = Instant::now();
         let out = f();
         self.requests.inc();

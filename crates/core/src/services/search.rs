@@ -373,9 +373,7 @@ impl CourseCloud {
             .collect();
         let key = results.query.terms.join("\u{1f}");
         if let Some(agg) = self.cloud_cache.lookup(&key, self.generation, &ids) {
-            if cr_obs::enabled() {
-                cloud_metrics().hits.add(1);
-            }
+            cloud_metrics().hits.add(1);
             // Differential oracle: maintained aggregates must be exactly
             // what a cold aggregation produces.
             #[cfg(any(test, feature = "oracle-checks"))]
@@ -395,9 +393,7 @@ impl CourseCloud {
                 &self.cloud_config,
             );
         }
-        if cr_obs::enabled() {
-            cloud_metrics().misses.add(1);
-        }
+        cloud_metrics().misses.add(1);
         let agg = aggregate_cloud(&corpus.index, &results.matched_docs, &self.cloud_config);
         let cloud = cloud_from_agg(
             &corpus.index,
@@ -463,12 +459,10 @@ impl CourseCloud {
             old_tf.as_ref(),
             new_tf.as_ref(),
         );
-        if cr_obs::enabled() {
-            let m = cloud_metrics();
-            m.spared.add(spared);
-            m.delta_applied.add(applied);
-            m.invalidations.add(dropped);
-        }
+        let m = cloud_metrics();
+        m.spared.add(spared);
+        m.delta_applied.add(applied);
+        m.invalidations.add(dropped);
         Ok(true)
     }
 }

@@ -145,9 +145,7 @@ pub fn compile_and_run_with(
     let started = Instant::now();
     let mut steps = Vec::with_capacity(3);
     let mut phase = |label: &str, rows: usize, elapsed: Duration| {
-        if cr_obs::enabled() {
-            metrics().step_ns.record_duration(elapsed);
-        }
+        metrics().step_ns.record_duration(elapsed);
         steps.push(StepTiming {
             label: label.to_owned(),
             rows,
@@ -182,11 +180,9 @@ pub fn compile_and_run_with(
         .into_iter()
         .map(|r| r.into_iter().map(value_to_datum).collect())
         .collect();
-    if cr_obs::enabled() {
-        let m = metrics();
-        m.compiled_runs.inc();
-        m.run_ns.record_duration(started.elapsed());
-    }
+    let m = metrics();
+    m.compiled_runs.inc();
+    m.run_ns.record_duration(started.elapsed());
     let fingerprint = plan.fingerprint();
     Ok(CompiledRun {
         result: RecResult {

@@ -7,28 +7,23 @@
 //!   [`Counter`]s, [`Gauge`]s, and log-linear latency [`Histogram`]s,
 //!   all recorded with relaxed atomics (no locks on hot paths — the
 //!   registry lock is only taken when a handle is first resolved);
-//! * a **span** API ([`Span`], [`timed`]) that measures wall-clock
-//!   sections into histograms and compiles down to "one relaxed load,
-//!   then nothing" when collection is disabled;
 //! * **snapshot rendering** ([`MetricsSnapshot`]) as hand-rolled JSON,
 //!   Prometheus text exposition, or a human-readable table;
 //! * a **flight recorder** ([`trace`]) of hierarchical trace spans in
 //!   a lock-free bounded ring, with a Chrome trace-event exporter and
-//!   a slow-request log — individually gated, also off by default.
+//!   a slow-request log — off by default and armed at runtime.
 //!
-//! Collection is **off by default**. Call [`install`] (or [`enable`])
-//! once at startup; every instrumentation site in the workspace guards
-//! on [`enabled`] before touching the clock or allocating.
+//! Metrics are **always on**: there is no collection switch, and every
+//! instrumentation site records unconditionally. Tracing keeps its own
+//! runtime gate ([`trace::enable`]) because it costs a span per operator.
 //!
 //! ```
-//! cr_obs::install();
-//! {
-//!     let _span = cr_obs::Span::enter("demo.work_ns");
-//!     cr_obs::Registry::global().counter("demo.requests").inc();
-//! }
-//! let snap = cr_obs::Registry::global().snapshot();
+//! let reg = cr_obs::Registry::global();
+//! reg.counter("demo.requests").inc();
+//! reg.histogram("demo.work_ns").record(1_500);
+//! let snap = reg.snapshot();
 //! assert_eq!(snap.counter("demo.requests"), Some(1));
-//! assert!(snap.histogram("demo.work_ns").unwrap().count >= 1);
+//! assert_eq!(snap.histogram("demo.work_ns").unwrap().count, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -36,11 +31,9 @@
 pub mod histogram;
 pub mod registry;
 pub mod snapshot;
-pub mod span;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot, QUANTILE_RELATIVE_ERROR};
-pub use registry::{disable, enable, enabled, install, Counter, Gauge, Registry};
+pub use registry::{install, Counter, Gauge, Registry};
 pub use snapshot::MetricsSnapshot;
-pub use span::{timed, Span};
 pub use trace::{FlightRecorder, SlowQuery, SpanContext, SpanId, SpanRecord, TraceId, TraceSpan};

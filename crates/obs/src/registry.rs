@@ -5,41 +5,19 @@
 //! atomics afterwards. Hot paths hold resolved handles (usually in a
 //! `OnceLock`'d struct) so steady-state recording never locks.
 //!
-//! Collection is off by default: [`enabled()`] is a single relaxed
-//! atomic load, and every instrumentation site in the workspace checks
-//! it before doing non-trivial work (clock reads, allocation). Call
-//! [`enable()`] (or [`install()`]) to turn recording on.
+//! Collection is always on: every instrumentation site records
+//! unconditionally, so there is nothing to switch on at startup.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use crate::histogram::Histogram;
 use crate::snapshot::MetricsSnapshot;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Is metrics collection on? One relaxed load — safe on any hot path.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn collection on and return the global registry.
+/// The process-wide registry; the same as [`Registry::global`].
 pub fn install() -> &'static Registry {
-    ENABLED.store(true, Ordering::Relaxed);
     Registry::global()
-}
-
-/// Turn collection on.
-pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Turn collection off. Already-resolved handles keep recording into
-/// their atomics only where call sites skip the [`enabled()`] gate.
-pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
 }
 
 /// A monotone event counter.
@@ -201,13 +179,5 @@ mod tests {
         assert_eq!(s.gauges, vec![("g".into(), -2)]);
         assert_eq!(s.histograms.len(), 1);
         assert_eq!(s.histograms[0].count, 1);
-    }
-
-    #[test]
-    fn enable_disable_flag() {
-        enable();
-        assert!(enabled());
-        disable();
-        assert!(!enabled());
     }
 }

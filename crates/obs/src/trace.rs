@@ -1,6 +1,6 @@
 //! Hierarchical tracing into an always-on flight recorder.
 //!
-//! Where [`crate::Span`] aggregates durations into histograms, a
+//! Where a [`crate::Histogram`] aggregates durations, a
 //! [`TraceSpan`] records an *individual* timed section — with a trace
 //! id, a span id, a parent link, key-value attributes, and point
 //! events — into a process-wide bounded ring buffer (the
@@ -9,8 +9,8 @@
 //! `try_lock`; if the slot is contended the record is dropped and a
 //! counter bumped, so recording never blocks an executor thread.
 //!
-//! Tracing has its own gate ([`enabled`]), separate from the metrics
-//! gate, and is **off by default**: a disabled `TraceSpan` constructor
+//! Tracing has a runtime gate ([`enabled`]) — metrics have none — and
+//! is **off by default**: a disabled `TraceSpan` constructor
 //! does one relaxed load and returns an inert guard — no clock read,
 //! no allocation. Parenting is implicit through a thread-local span
 //! stack; crossing threads (parallel partitions) is explicit via

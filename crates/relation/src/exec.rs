@@ -223,9 +223,8 @@ impl ResultSet {
 
 /// Execute a logical plan against a catalog, materializing the result.
 ///
-/// When metrics collection is on ([`cr_obs::enabled`]) this records the
-/// query counter and latency histogram; otherwise the only overhead over
-/// raw execution is one relaxed atomic load.
+/// Every call records the query counter, the rows-out counter and the
+/// latency histogram (one clock read pair and three relaxed atomics).
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> RelResult<ResultSet> {
     execute_with(plan, catalog, &ExecOptions::default())
 }
@@ -245,22 +244,16 @@ pub fn execute_with(
     {
         return execute_instrumented_with(plan, catalog, opts).map(|(rs, _)| rs);
     }
-    let started = if cr_obs::enabled() {
-        Some(Instant::now())
-    } else {
-        None
-    };
+    let started = Instant::now();
     let rows = if opts.batch_size > 0 {
         run_batched(plan, catalog, opts, None)?.to_rows()
     } else {
         run(plan, catalog)?.into_owned()
     };
-    if let Some(t0) = started {
-        let m = metrics();
-        m.queries.inc();
-        m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(t0.elapsed());
-    }
+    let m = metrics();
+    m.queries.inc();
+    m.rows_out.add(rows.len() as u64);
+    m.query_ns.record_duration(started.elapsed());
     Ok(ResultSet {
         schema: plan.schema().clone(),
         rows,
@@ -308,12 +301,10 @@ pub fn execute_instrumented_with(
     let rows = run_batched(plan, catalog, opts, Some(&mut profiles))?.to_rows();
     let profile = profiles.pop().expect("the root operator records a profile");
     let elapsed = started.elapsed();
-    if cr_obs::enabled() {
-        let m = metrics();
-        m.queries.inc();
-        m.rows_out.add(rows.len() as u64);
-        m.query_ns.record_duration(elapsed);
-    }
+    let m = metrics();
+    m.queries.inc();
+    m.rows_out.add(rows.len() as u64);
+    m.query_ns.record_duration(elapsed);
     let fingerprint = plan.fingerprint();
     if span.is_recording() {
         span.attr("rows_out", rows.len().to_string());
@@ -913,14 +904,12 @@ fn scan_table(
     filter: &Option<Expr>,
 ) -> RelResult<(Vec<Row>, AccessPath)> {
     let path = choose_access_path(table, filter);
-    if cr_obs::enabled() {
-        let m = metrics();
-        match &path {
-            AccessPath::SeqScan => m.scan_seq.inc(),
-            AccessPath::PkLookup(_) => m.scan_pk.inc(),
-            AccessPath::IndexEq(..) => m.scan_index_eq.inc(),
-            AccessPath::IndexRange { .. } => m.scan_index_range.inc(),
-        }
+    let m = metrics();
+    match &path {
+        AccessPath::SeqScan => m.scan_seq.inc(),
+        AccessPath::PkLookup(_) => m.scan_pk.inc(),
+        AccessPath::IndexEq(..) => m.scan_index_eq.inc(),
+        AccessPath::IndexRange { .. } => m.scan_index_range.inc(),
     }
     let project = |r: &Row| -> Row {
         match projection {
@@ -1436,9 +1425,7 @@ fn scan_batched(
 ) -> RelResult<(Batch, AccessPath, usize)> {
     let path = choose_access_path(t, filter);
     if matches!(path, AccessPath::SeqScan) {
-        if cr_obs::enabled() {
-            metrics().scan_seq.inc();
-        }
+        metrics().scan_seq.inc();
         let cols = t.columnar();
         let mut batch = Batch::new((*cols).clone(), t.len());
         let mut batches = 1;
@@ -1747,11 +1734,9 @@ fn run_batched(
     let mut children = Vec::new();
     let (batch, facts) = run_node(plan, catalog, opts, Some(&mut children))?;
     let elapsed = t0.elapsed();
-    if cr_obs::enabled() {
-        // Pre-resolved per-kind histogram: elapsed is already measured,
-        // recording is one atomic bump (no Span, no registry lock).
-        metrics().op_hist(plan).record_duration(elapsed);
-    }
+    // Pre-resolved per-kind histogram: elapsed is already measured,
+    // recording is one atomic bump (no registry lock).
+    metrics().op_hist(plan).record_duration(elapsed);
     let (op, detail) = describe(plan, facts, batch.len());
     if span.is_recording() {
         span.set_name(&op);
@@ -2008,6 +1993,21 @@ mod tests {
         let rs = db.query_sql("SELECT * FROM courses").unwrap();
         assert_eq!(rs.rows.len(), 5);
         assert_eq!(rs.schema.len(), 4);
+    }
+
+    #[test]
+    fn queries_record_metrics_without_setup() {
+        let r = cr_obs::Registry::global();
+        let (queries, rows_out) = (
+            r.counter("relation.queries"),
+            r.counter("relation.rows_out"),
+        );
+        let (q0, r0) = (queries.get(), rows_out.get());
+        let db = db();
+        let rs = db.query_sql("SELECT * FROM courses").unwrap();
+        assert_eq!(rs.rows.len(), 5);
+        assert!(queries.get() > q0);
+        assert!(rows_out.get() >= r0 + 5);
     }
 
     #[test]

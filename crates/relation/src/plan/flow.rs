@@ -1163,9 +1163,7 @@ pub fn check_disclosure(
     // are skipped too; they only matter to principals the guard protects
     // against, and `crlint --principal student` surfaces them.)
     if principal.clearance() >= Sensitivity::Restricted {
-        if cr_obs::enabled() {
-            fmetrics().checks.inc();
-        }
+        fmetrics().checks.inc();
         return ValidationReport {
             diagnostics: Vec::new(),
         };
@@ -1234,17 +1232,12 @@ pub fn check_disclosure(
     let report = ValidationReport {
         diagnostics: checker.diags,
     };
-    if cr_obs::enabled() {
-        let m = fmetrics();
-        m.checks.inc();
-        if report.has_errors() {
-            m.denials.inc();
-        }
-        let w = report.warnings().count() as u64;
-        if w > 0 {
-            m.warnings.add(w);
-        }
+    let m = fmetrics();
+    m.checks.inc();
+    if report.has_errors() {
+        m.denials.inc();
     }
+    m.warnings.add(report.warnings().count() as u64);
     report
 }
 
@@ -1267,12 +1260,10 @@ pub fn check_disclosure_sql(
     let gen = catalog.flow_gen_now();
     let key = format!("{principal}\u{1f}{sql}");
     if let Some(report) = catalog.flow_decision(gen, &key) {
-        if cr_obs::enabled() {
-            let m = fmetrics();
-            m.checks.inc();
-            if report.has_errors() {
-                m.denials.inc();
-            }
+        let m = fmetrics();
+        m.checks.inc();
+        if report.has_errors() {
+            m.denials.inc();
         }
         return Some(report);
     }

@@ -258,9 +258,6 @@ fn vmetrics() -> &'static VMetrics {
 }
 
 fn record(report: &ValidationReport) {
-    if !cr_obs::enabled() {
-        return;
-    }
     let m = vmetrics();
     m.runs.inc();
     if !report.diagnostics.is_empty() {

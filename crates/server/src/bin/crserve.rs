@@ -229,7 +229,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    cr_obs::install();
     let app = match build_app(&args) {
         Ok(app) => app,
         Err(msg) => {

@@ -378,11 +378,9 @@ impl Server {
         // Load the sequence *before* cutting: the cut then includes at
         // least everything up to that sequence, never less.
         let as_of_seq = self.write_seq.load(Ordering::Acquire);
-        if cr_obs::enabled() {
-            self.metrics.republished.inc();
-            let folded = as_of_seq.saturating_sub(cache.as_ref().map_or(0, |c| c.as_of_seq));
-            self.metrics.republish_batch.record(folded);
-        }
+        self.metrics.republished.inc();
+        let folded = as_of_seq.saturating_sub(cache.as_ref().map_or(0, |c| c.as_of_seq));
+        self.metrics.republish_batch.record(folded);
         let (view, cut) = self.app.read_view();
         let fresh = Arc::new(CachedView {
             view,

@@ -154,8 +154,7 @@ impl Storage {
     ) -> StorageResult<(Arc<Storage>, Database, RecoveryReport)> {
         let metrics = StoreMetrics::new();
         let mut span = cr_obs::trace::TraceSpan::child("storage.recover");
-        let observing = cr_obs::enabled();
-        let t0 = observing.then(Instant::now);
+        let t0 = Instant::now();
         let mut report = RecoveryReport::default();
 
         let files = backend.list()?;
@@ -239,16 +238,12 @@ impl Storage {
             offset = 0;
         };
 
-        if observing {
-            metrics.recovery_runs.inc();
-            metrics.replay_records.add(report.replayed_records);
-            metrics.replay_bytes.add(report.replayed_bytes);
-            metrics.replay_skipped.add(report.skipped_records);
-            metrics.replay_truncated_bytes.add(report.truncated_bytes);
-            if let Some(t0) = t0 {
-                metrics.recovery_ns.record_duration(t0.elapsed());
-            }
-        }
+        metrics.recovery_runs.inc();
+        metrics.replay_records.add(report.replayed_records);
+        metrics.replay_bytes.add(report.replayed_bytes);
+        metrics.replay_skipped.add(report.skipped_records);
+        metrics.replay_truncated_bytes.add(report.truncated_bytes);
+        metrics.recovery_ns.record_duration(t0.elapsed());
         if span.is_recording() {
             span.attr("snapshot_seq", format!("{:?}", report.snapshot_seq));
             span.attr("replayed_records", report.replayed_records.to_string());
@@ -301,8 +296,7 @@ impl Storage {
     pub fn checkpoint(&self) -> StorageResult<u64> {
         let _guard = self.checkpoint_lock.lock();
         let mut span = cr_obs::trace::TraceSpan::child("storage.checkpoint");
-        let observing = cr_obs::enabled();
-        let t0 = observing.then(Instant::now);
+        let t0 = Instant::now();
         // Capture a flushed position, then RELEASE the wal mutex before
         // touching table locks (see module docs on lock order).
         let (wal_seq, wal_offset) = {
@@ -316,13 +310,9 @@ impl Storage {
             .write_atomic(&snapshot_file_name(snap_seq), &data)?;
         self.wal.lock().rotate()?;
         self.prune()?;
-        if observing {
-            self.metrics.snapshot_writes.inc();
-            self.metrics.snapshot_bytes.add(data.len() as u64);
-            if let Some(t0) = t0 {
-                self.metrics.snapshot_ns.record_duration(t0.elapsed());
-            }
-        }
+        self.metrics.snapshot_writes.inc();
+        self.metrics.snapshot_bytes.add(data.len() as u64);
+        self.metrics.snapshot_ns.record_duration(t0.elapsed());
         if span.is_recording() {
             span.attr("snapshot_seq", snap_seq.to_string());
             span.attr("bytes", data.len().to_string());
@@ -366,9 +356,7 @@ impl Storage {
     /// observer hook is infallible by design — see [`MutationObserver`]).
     fn log(&self, rec: WalRecord) {
         if let Err(e) = self.wal.lock().append(&rec) {
-            if cr_obs::enabled() {
-                self.metrics.errors.inc();
-            }
+            self.metrics.errors.inc();
             let mut slot = self.last_error.lock();
             if slot.is_none() {
                 *slot = Some(e.to_string());

@@ -533,9 +533,7 @@ impl Wal {
         self.buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
         self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         self.buffered += 1;
-        if cr_obs::enabled() {
-            self.metrics.appends.inc();
-        }
+        self.metrics.appends.inc();
         if self.buffered >= self.cfg.group_commit.max(1) || self.cfg.fsync == FsyncPolicy::Always {
             self.flush()?;
         }
@@ -560,19 +558,14 @@ impl Wal {
         self.buf.clear();
         self.buffered = 0;
         self.offset += len;
-        let observing = cr_obs::enabled();
-        if observing {
-            self.metrics.flushes.inc();
-            self.metrics.bytes.add(len);
-        }
+        self.metrics.flushes.inc();
+        self.metrics.bytes.add(len);
         if self.cfg.fsync != FsyncPolicy::Never {
             let _fsync_span = cr_obs::trace::TraceSpan::child("storage.wal.fsync");
-            let t0 = observing.then(Instant::now);
+            let t0 = Instant::now();
             self.backend.sync(&file)?;
-            if let Some(t0) = t0 {
-                self.metrics.fsyncs.inc();
-                self.metrics.fsync_ns.record_duration(t0.elapsed());
-            }
+            self.metrics.fsyncs.inc();
+            self.metrics.fsync_ns.record_duration(t0.elapsed());
         }
         Ok(())
     }
@@ -583,9 +576,7 @@ impl Wal {
         self.flush()?;
         self.seq += 1;
         self.offset = 0;
-        if cr_obs::enabled() {
-            self.metrics.rotations.inc();
-        }
+        self.metrics.rotations.inc();
         Ok(self.seq)
     }
 }

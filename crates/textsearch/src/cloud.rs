@@ -253,9 +253,7 @@ fn aggregate<'a>(index: &'a InvertedIndex, docs: &[DocId], config: &CloudConfig)
             .collect()
     })
     .expect("cloud shard scope");
-    if cr_obs::enabled() {
-        cloud_shard_counter().add(shards as u64);
-    }
+    cloud_shard_counter().add(shards as u64);
     let mut it = parts.into_iter();
     let (mut agg, mut total) = it.next().expect("at least one shard");
     for (part, part_total) in it {

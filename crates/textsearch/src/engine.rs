@@ -18,8 +18,8 @@ use crate::entity::EntityCorpus;
 use crate::index::{DocId, Posting};
 use crate::score::{bm25f_term_score, idf, Bm25Params};
 
-// Handles resolved once; recording is relaxed atomics. All sites gate on
-// `cr_obs::enabled()` so the disabled cost is one atomic load per query.
+// Handles resolved once; recording is relaxed atomics plus one clock
+// read pair per query or cloud.
 struct TsMetrics {
     queries: Arc<cr_obs::Counter>,
     query_ns: Arc<cr_obs::Histogram>,
@@ -236,19 +236,12 @@ impl SearchEngine {
 
     /// Run a search: conjunctive over the query terms, BM25F-scored,
     /// returning the top `k` hits and the full match list. Records
-    /// per-query metrics (index lookups, candidate-set size, latency)
-    /// when metrics collection is enabled.
+    /// per-query metrics (index lookups, candidate-set size, latency).
     pub fn search(&self, query: &Query, k: usize) -> SearchResults {
-        let started = if cr_obs::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let started = Instant::now();
         let mut stats = SearchStats::default();
         let results = self.search_inner(query, k, &mut stats);
-        if let Some(t0) = started {
-            record_query_metrics(&stats, t0);
-        }
+        record_query_metrics(&stats, started);
         results
     }
 
@@ -388,16 +381,10 @@ impl SearchEngine {
     ///
     /// [`search`]: SearchEngine::search
     pub fn search_topk(&self, query: &Query, k: usize) -> SearchResults {
-        let started = if cr_obs::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let started = Instant::now();
         let mut stats = SearchStats::default();
         let results = self.search_topk_inner(query, k, &mut stats);
-        if let Some(t0) = started {
-            record_query_metrics(&stats, t0);
-        }
+        record_query_metrics(&stats, started);
         results
     }
 
@@ -523,24 +510,18 @@ impl SearchEngine {
 
     /// Compute the data cloud for a result set (excluding the query's own
     /// terms, per Figure 3). Cloud aggregation time is recorded in the
-    /// `textsearch.cloud_ns` histogram when metrics collection is enabled.
+    /// `textsearch.cloud_ns` histogram.
     pub fn cloud(&self, results: &SearchResults, config: &CloudConfig) -> DataCloud {
-        let started = if cr_obs::enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let started = Instant::now();
         let cloud = compute_cloud(
             &self.corpus.index,
             &results.matched_docs,
             &results.query.terms,
             config,
         );
-        if let Some(t0) = started {
-            let m = metrics();
-            m.clouds.inc();
-            m.cloud_ns.record_duration(t0.elapsed());
-        }
+        let m = metrics();
+        m.clouds.inc();
+        m.cloud_ns.record_duration(started.elapsed());
         cloud
     }
 
@@ -705,9 +686,8 @@ mod tests {
     }
 
     #[test]
-    fn search_records_metrics_when_enabled() {
+    fn search_records_metrics() {
         let e = setup();
-        cr_obs::enable();
         let snap_before = cr_obs::Registry::global().snapshot();
         let before_q = snap_before.counter("textsearch.queries").unwrap_or(0);
         let before_l = snap_before
@@ -715,13 +695,12 @@ mod tests {
             .unwrap_or(0);
         let (r, _cloud) = e.search_with_cloud("american politics", 10, &CloudConfig::default());
         assert_eq!(r.total, 2);
+        // Sibling tests search concurrently and always record too, so the
+        // counters grow by at least this query's share.
         let snap = cr_obs::Registry::global().snapshot();
-        assert_eq!(snap.counter("textsearch.queries"), Some(before_q + 1));
+        assert!(snap.counter("textsearch.queries").unwrap() > before_q);
         // Two query terms → two postings lookups.
-        assert_eq!(
-            snap.counter("textsearch.postings_lookups"),
-            Some(before_l + 2)
-        );
+        assert!(snap.counter("textsearch.postings_lookups").unwrap() >= before_l + 2);
         assert!(snap.histogram("textsearch.query_ns").unwrap().count >= 1);
         assert!(snap.histogram("textsearch.cloud_ns").unwrap().count >= 1);
         // Candidate set (docs matching "american") is 5, filtered to 2.
@@ -795,7 +774,6 @@ mod tests {
     #[test]
     fn topk_records_prune_metrics() {
         let e = setup();
-        cr_obs::enable();
         let before = cr_obs::Registry::global().snapshot();
         // k=1 over a 5-match query forces heap evictions and/or bound
         // skips once the heap is full.

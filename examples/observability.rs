@@ -1,5 +1,5 @@
-//! Observability tour: turn the metrics registry on, exercise the
-//! instrumented services (search, recommendations, planner), then print
+//! Observability tour: exercise the always-on metrics registry through
+//! the instrumented services (search, recommendations, planner), then print
 //!
 //! 1. the step-by-step timing breakdown of a FlexRecs workflow compiled
 //!    to SQL (each compiled step is a span),
@@ -18,10 +18,6 @@ use cr_datagen::ScaleConfig;
 use cr_flexrecs::compile_and_run;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Off by default; the instrumented paths cost one relaxed atomic
-    // load per call until this runs.
-    cr_obs::install();
-
     let (db, stats) = cr_datagen::generate(&ScaleConfig::scaled(0.05))?;
     let app = CourseRank::assemble(db)?;
     println!("== campus: {} ==\n", stats.summary());

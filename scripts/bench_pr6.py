@@ -6,7 +6,7 @@ Runs `cargo bench -p cr-bench --bench tracing_overhead`, parses the
 raw medians plus derived ratios and pass/fail checks:
 
 * per-strategy tracing overhead (traced / plain, interleaved samples;
-  acceptance <= 1.05) and metrics overhead (metrics / plain),
+  acceptance <= 1.05; metrics are always on in both),
 * idle span cost with the tracer disabled and enabled.
 
 Pass --smoke to run single iterations over shrunken data (CI canary).
@@ -56,9 +56,6 @@ def main():
         if r is not None:
             ratios[f"{s}_tracing_overhead"] = r
             checks[f"{s}_tracing_overhead_le_1.05"] = r <= TRACING_OVERHEAD_MAX
-        r = ratio(results, f"workflow_exec_{s}_metrics", f"workflow_exec_{s}_plain")
-        if r is not None:
-            ratios[f"{s}_metrics_overhead"] = r
 
     idle_off = results.get("idle_disabled_span_ns")
     idle_on = results.get("idle_enabled_span_ns")

@@ -3,18 +3,13 @@
 
 Runs `cargo bench -p cr-bench --bench cache_churn`, parses the
 `[PR9] scenario=... key=value ...` lines, and writes a JSON report with
-the raw metrics plus derived ratios:
-
-* hit_rate_push / hit_rate_pull — warm-cache hit rate under the same
-  Zipf write-storm mix with push-advance invalidation on vs off.
-* p95_pull_over_push — pull-mode p95 lookup latency over push-mode p95
-  (how much recompute latency the maintained entries save).
+the raw metrics (warm-cache hit rate, p95 lookup latency and maintenance
+counts under a Zipf write-storm mix with push-advance maintenance).
 
 Gates (recorded always; only fatal without --smoke):
 
 * warm_hit_rate: push-mode hit rate must exceed 50% under the
   write-storm mix (the PR9 acceptance criterion).
-* push_beats_pull: push-mode hit rate must exceed pull-mode.
 * push_spares: the push run must actually spare entries (nonzero
   key-gate advances), or the hit rate is coming from somewhere else.
 """
@@ -48,12 +43,6 @@ def main():
     metrics = run_bench(smoke)
 
     push_rate = metrics.get("churn_push.hit_rate_pct")
-    pull_rate = metrics.get("churn_pull.hit_rate_pct")
-    push_p95 = metrics.get("churn_push.p95_ns")
-    pull_p95 = metrics.get("churn_pull.p95_ns")
-    ratios = {
-        "p95_pull_over_push": round(pull_p95 / push_p95, 2) if push_p95 else None,
-    }
 
     gates = []
     ok = True
@@ -69,11 +58,6 @@ def main():
         push_rate is not None and push_rate > 50.0,
         f"push-mode hit rate {push_rate}% vs floor 50%",
     )
-    gate(
-        "push_beats_pull",
-        push_rate is not None and pull_rate is not None and push_rate > pull_rate,
-        f"push {push_rate}% vs pull {pull_rate}%",
-    )
     spared = metrics.get("churn_push.spared")
     gate(
         "push_spares",
@@ -85,7 +69,6 @@ def main():
         "smoke": smoke,
         "host_cpus": os.cpu_count() or 1,
         "metrics": metrics,
-        "ratios": ratios,
         "gates": gates,
     }
     out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_pr9.json")

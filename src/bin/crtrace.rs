@@ -151,7 +151,6 @@ fn print_trace(trace: TraceId, records: &[&SpanRecord], filter: Option<&str>) {
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
 
-    cr_obs::install();
     trace::enable();
     trace::set_slow_query_threshold(Some(Duration::from_millis(args.threshold_ms)));
     let app = run_workload(args.smoke)?;

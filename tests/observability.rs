@@ -53,7 +53,6 @@ fn explain_analyze_row_counts_match_result_set() {
 
 #[test]
 fn one_pass_through_the_system_populates_every_layer() {
-    cr_obs::install();
     let (db, _stats) = cr_datagen::generate(&ScaleConfig::scaled(0.02)).unwrap();
     let app = CourseRank::assemble(db).unwrap();
 

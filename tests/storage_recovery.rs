@@ -249,8 +249,6 @@ fn populate(backend: Arc<dyn cr_storage::StorageBackend>, probe: &MemBackend) ->
 
 #[test]
 fn courserank_crash_recovery_end_to_end() {
-    cr_obs::install();
-
     // Baseline run, fully durable.
     let baseline = MemBackend::new();
     let boundary = populate(Arc::new(baseline.clone()), &baseline);
