@@ -306,10 +306,8 @@ mod tests {
             .unwrap_or(0);
         app.search().search("programming", 10).unwrap();
         app.planner().report(444).unwrap();
-        // Sibling tests search concurrently and always record too, so the
-        // counter grows by at least this request.
         let snap = app.metrics_snapshot();
-        assert!(snap.counter("courserank.search.requests").unwrap() > before);
+        assert_eq!(snap.counter("courserank.search.requests"), Some(before + 1));
         assert!(snap.counter("courserank.planner.requests").unwrap_or(0) >= 1);
         assert!(snap
             .histogram("courserank.search.request_ns")
