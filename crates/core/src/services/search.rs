@@ -6,6 +6,8 @@
 //! highest — the §3.1 ranking answer.
 
 use cr_relation::{RelResult, Value};
+#[cfg(any(test, feature = "oracle-checks"))]
+use cr_textsearch::cloud::compute_cloud;
 use cr_textsearch::cloud::{aggregate_cloud, cloud_from_agg, CloudAgg, CloudConfig};
 use cr_textsearch::engine::{SearchEngine, SearchResults};
 use cr_textsearch::entity::{
@@ -59,7 +61,13 @@ struct CloudEntry {
     /// result order. Doc ids are NOT stored — reindexing reassigns them;
     /// entity ids are the stable identity.
     ids: Vec<Value>,
-    agg: CloudAgg,
+    /// Shared so a hit hands out a pointer instead of copying every term
+    /// under the lock; delta maintenance copies-on-write.
+    agg: Arc<CloudAgg>,
+    /// The ranked cloud scored from `agg` against the corpus at
+    /// `generation`. Any generation advance clears it, because corpus
+    /// statistics changed; the next hit rescores once and stores it back.
+    cloud: Option<DataCloud>,
     /// Corpus generation the aggregates are current at (see
     /// [`CourseCloud::reindex_course`]).
     generation: u64,
@@ -67,27 +75,44 @@ struct CloudEntry {
     delta_applied: u64,
 }
 
-/// Cache of data-cloud term aggregates, incrementally maintained across
-/// [`CourseCloud::reindex_course`] calls. Unlike [`crate::cache::VersionedCache`]
-/// its validity authority is not the catalog version vector but the
-/// search corpus: an entry serves when its *generation* matches the
-/// handle's corpus generation and the fresh (cheap) search returned the
-/// same result entities its aggregates cover. Scoring always reruns
-/// against current corpus statistics — only the O(docs × terms)
-/// aggregation is cached.
+/// What a cache hit serves: the aggregates, and the ranked cloud when it
+/// is still current.
+struct CloudHit {
+    agg: Arc<CloudAgg>,
+    cloud: Option<DataCloud>,
+}
+
+/// Cache of data clouds and their term aggregates, incrementally
+/// maintained across [`CourseCloud::reindex_course`] calls. Unlike
+/// [`crate::cache::VersionedCache`] its validity authority is not the
+/// catalog version vector but the search corpus: an entry serves when its
+/// *generation* matches the handle's corpus generation and the fresh
+/// (cheap) search returned the same result entities its aggregates cover.
+/// The aggregates survive reindexes (spared or delta-applied); the ranked
+/// cloud is valid for one generation only.
 #[derive(Debug, Default)]
 struct CloudCache {
     entries: Mutex<(HashMap<String, CloudEntry>, VecDeque<String>)>,
 }
 
 impl CloudCache {
-    fn lookup(&self, key: &str, generation: u64, ids: &[Value]) -> Option<CloudAgg> {
-        let mut guard = self.entries.lock();
-        let entry = guard.0.get_mut(key)?;
-        (entry.generation == generation && entry.ids == ids).then(|| entry.agg.clone())
+    fn lookup(&self, key: &str, generation: u64, ids: &[Value]) -> Option<CloudHit> {
+        let guard = self.entries.lock();
+        let entry = guard.0.get(key)?;
+        (entry.generation == generation && entry.ids == ids).then(|| CloudHit {
+            agg: Arc::clone(&entry.agg),
+            cloud: entry.cloud.clone(),
+        })
     }
 
-    fn insert(&self, key: String, ids: Vec<Value>, agg: CloudAgg, generation: u64) {
+    fn insert(
+        &self,
+        key: String,
+        ids: Vec<Value>,
+        agg: CloudAgg,
+        cloud: DataCloud,
+        generation: u64,
+    ) {
         let mut guard = self.entries.lock();
         let (map, order) = &mut *guard;
         if map
@@ -95,7 +120,8 @@ impl CloudCache {
                 key.clone(),
                 CloudEntry {
                     ids,
-                    agg,
+                    agg: Arc::new(agg),
+                    cloud: Some(cloud),
                     generation,
                     spared: 0,
                     delta_applied: 0,
@@ -115,11 +141,23 @@ impl CloudCache {
         }
     }
 
+    /// Memoize the cloud rescored on a hit, unless the entry moved on
+    /// (another generation or result set) since the lookup.
+    fn store_cloud(&self, key: &str, generation: u64, ids: &[Value], cloud: DataCloud) {
+        let mut guard = self.entries.lock();
+        if let Some(entry) = guard.0.get_mut(key) {
+            if entry.generation == generation && entry.ids == ids {
+                entry.cloud = Some(cloud);
+            }
+        }
+    }
+
     /// Fold one entity's reindex into every entry: entries whose result
     /// set does not contain the entity advance for free (spared), member
     /// entries absorb the term-frequency diff (delta-applied), anything
     /// unmaintainable — stale generation, a vanished document, an
-    /// inconsistent shift — drops. Returns (spared, applied, dropped).
+    /// inconsistent shift — drops. Every surviving entry loses its ranked
+    /// cloud. Returns (spared, applied, dropped).
     fn maintain(
         &self,
         entity: &Value,
@@ -138,13 +176,15 @@ impl CloudCache {
             }
             if !entry.ids.contains(entity) {
                 entry.generation = gen_to;
+                entry.cloud = None;
                 entry.spared += 1;
                 spared += 1;
                 return true;
             }
             if let (Some(old), Some(new)) = (old_tf, new_tf) {
-                if entry.agg.apply_reindex_delta(old, new) {
+                if Arc::make_mut(&mut entry.agg).apply_reindex_delta(old, new) {
                     entry.generation = gen_to;
+                    entry.cloud = None;
                     entry.delta_applied += 1;
                     applied += 1;
                     return true;
@@ -247,8 +287,9 @@ pub struct CourseCloud {
     engine: Arc<SearchEngine>,
     spec: EntitySpec,
     cloud_config: CloudConfig,
-    /// Cached cloud aggregates, shared across rebinds so snapshot views
-    /// warm the same cache (their generation pins which entries serve).
+    /// Cached clouds and aggregates, shared across clones and rebinds so
+    /// snapshot views warm the same cache (their generation pins which
+    /// entries serve). Every sharer ranks under the same `cloud_config`.
     cloud_cache: Arc<CloudCache>,
     /// Monotonic corpus version of THIS handle. Bumped by
     /// [`CourseCloud::reindex_course`]; cache entries only serve when
@@ -299,11 +340,6 @@ impl CourseCloud {
         }
     }
 
-    pub fn with_cloud_config(mut self, config: CloudConfig) -> Self {
-        self.cloud_config = config;
-        self
-    }
-
     pub fn engine(&self) -> &SearchEngine {
         &self.engine
     }
@@ -345,8 +381,8 @@ impl CourseCloud {
         Ok(hits)
     }
 
-    /// The cloud for a result set, served from incrementally maintained
-    /// aggregates when possible.
+    /// The cloud for a result set, served from the memoized ranked cloud
+    /// or incrementally maintained aggregates when possible.
     pub fn cloud(&self, results: &SearchResults) -> DataCloud {
         self.cloud_cached(results)
     }
@@ -372,26 +408,48 @@ impl CourseCloud {
             .map(|d| corpus.doc_to_id[d.0 as usize].clone())
             .collect();
         let key = results.query.terms.join("\u{1f}");
-        if let Some(agg) = self.cloud_cache.lookup(&key, self.generation, &ids) {
+        if let Some(hit) = self.cloud_cache.lookup(&key, self.generation, &ids) {
             cloud_metrics().hits.add(1);
-            // Differential oracle: maintained aggregates must be exactly
-            // what a cold aggregation produces.
+            let cloud = match hit.cloud {
+                Some(cloud) => cloud,
+                None => {
+                    let cloud = cloud_from_agg(
+                        &corpus.index,
+                        &hit.agg,
+                        &results.query.terms,
+                        &self.cloud_config,
+                    );
+                    self.cloud_cache
+                        .store_cloud(&key, self.generation, &ids, cloud.clone());
+                    cloud
+                }
+            };
+            // Differential oracle: maintained aggregates and the served
+            // cloud, memoized or rescored, must be exactly what a cold
+            // computation over the current corpus produces.
             #[cfg(any(test, feature = "oracle-checks"))]
             {
-                let cold =
+                let cold_agg =
                     aggregate_cloud(&corpus.index, &results.matched_docs, &self.cloud_config);
                 assert_eq!(
-                    cold, agg,
-                    "cloud cache divergence for query {:?}",
+                    cold_agg, *hit.agg,
+                    "cloud cache aggregate divergence for query {:?}",
+                    results.query.terms
+                );
+                let cold = compute_cloud(
+                    &corpus.index,
+                    &results.matched_docs,
+                    &results.query.terms,
+                    &self.cloud_config,
+                );
+                assert_eq!(
+                    cloud_bits(&cold),
+                    cloud_bits(&cloud),
+                    "served cloud divergence for query {:?}",
                     results.query.terms
                 );
             }
-            return cloud_from_agg(
-                &corpus.index,
-                &agg,
-                &results.query.terms,
-                &self.cloud_config,
-            );
+            return cloud;
         }
         cloud_metrics().misses.add(1);
         let agg = aggregate_cloud(&corpus.index, &results.matched_docs, &self.cloud_config);
@@ -401,7 +459,8 @@ impl CourseCloud {
             &results.query.terms,
             &self.cloud_config,
         );
-        self.cloud_cache.insert(key, ids, agg, self.generation);
+        self.cloud_cache
+            .insert(key, ids, agg, cloud.clone(), self.generation);
         cloud
     }
 
@@ -465,6 +524,29 @@ impl CourseCloud {
         m.invalidations.add(dropped);
         Ok(true)
     }
+}
+
+/// Everything a served cloud shows, scores as bits, for exact comparison.
+#[cfg(any(test, feature = "oracle-checks"))]
+type CloudBits<'a> = (usize, Vec<(&'a str, &'a str, u8, usize, u64, u64)>);
+
+#[cfg(any(test, feature = "oracle-checks"))]
+fn cloud_bits(cloud: &DataCloud) -> CloudBits<'_> {
+    let terms = cloud
+        .terms
+        .iter()
+        .map(|t| {
+            (
+                t.term.as_str(),
+                t.display.as_str(),
+                t.bucket,
+                t.result_doc_freq,
+                t.result_tf,
+                t.score.to_bits(),
+            )
+        })
+        .collect();
+    (cloud.docs_aggregated, terms)
 }
 
 #[cfg(test)]
@@ -549,6 +631,111 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn comment(id: i64, course: CourseId, text: &str) -> Comment {
+        Comment {
+            id,
+            student: 444,
+            course,
+            quarter: Quarter::new(2009, Term::Spring),
+            text: text.into(),
+            rating: 4.0,
+            date: 0,
+        }
+    }
+
+    #[test]
+    fn cloud_memo_lives_for_one_generation() {
+        let cache = CloudCache::default();
+        let ids = vec![Value::Int(201), Value::Int(202)];
+        let mut agg = CloudAgg::default();
+        agg.terms.insert("castl".into(), (3, 2));
+        agg.token_total = 3;
+        agg.docs_aggregated = 2;
+        let memo = DataCloud {
+            terms: Vec::new(),
+            docs_aggregated: 2,
+        };
+        let memo_of = |cache: &CloudCache, generation| {
+            cache
+                .lookup("k", generation, &ids)
+                .map(|hit| hit.cloud.map(|c| c.docs_aggregated))
+        };
+
+        // insert → the hit serves the memo.
+        cache.insert("k".into(), ids.clone(), agg.clone(), memo.clone(), 0);
+        assert_eq!(memo_of(&cache, 0), Some(Some(2)));
+        assert!(cache.lookup("k", 0, &ids[..1]).is_none());
+
+        // A spared reindex advances the entry but clears the memo.
+        let (spared, applied, dropped) = cache.maintain(&Value::Int(999), 0, 1, None, None);
+        assert_eq!((spared, applied, dropped), (1, 0, 0));
+        assert_eq!(memo_of(&cache, 0), None);
+        assert_eq!(memo_of(&cache, 1), Some(None));
+
+        // store_cloud → the memo is back; a stale generation cannot store.
+        cache.store_cloud("k", 0, &ids, memo.clone());
+        assert_eq!(memo_of(&cache, 1), Some(None));
+        cache.store_cloud("k", 1, &ids, memo.clone());
+        assert_eq!(memo_of(&cache, 1), Some(Some(2)));
+
+        // A delta-applied reindex clears it too; the served aggregate is
+        // the shifted one, while a hit taken before keeps its own copy.
+        let before = cache.lookup("k", 1, &ids).unwrap().agg;
+        let old_tf = HashMap::from([("castl".to_owned(), 1u32)]);
+        let new_tf = HashMap::from([("castl".to_owned(), 2u32)]);
+        let (spared, applied, dropped) =
+            cache.maintain(&Value::Int(201), 1, 2, Some(&old_tf), Some(&new_tf));
+        assert_eq!((spared, applied, dropped), (0, 1, 0));
+        let hit = cache.lookup("k", 2, &ids).unwrap();
+        assert!(hit.cloud.is_none());
+        assert_eq!(hit.agg.terms["castl"], (4, 2));
+        assert_eq!(before.terms["castl"], (3, 2));
+        cache.store_cloud("k", 2, &ids, memo);
+        assert_eq!(memo_of(&cache, 2), Some(Some(2)));
+    }
+
+    #[test]
+    fn served_cloud_tracks_nonmember_reindex() {
+        // Both "programming" courses share comment terms, so their cloud
+        // is not empty.
+        let db = small_campus();
+        for (id, course) in [(94, 101), (95, 102)] {
+            db.insert_comment(&comment(id, course, "recursion drills every week"))
+                .unwrap();
+        }
+        let mut c = CourseCloud::build(db).unwrap();
+        // Warm the cache (miss), then hit the memo.
+        let (_, _, first) = c.search_with_cloud("programming", None, 10).unwrap();
+        let (_, r, memo) = c.search_with_cloud("programming", None, 10).unwrap();
+        assert!(!memo.terms.is_empty());
+        assert_eq!(cloud_bits(&first), cloud_bits(&memo));
+        assert!(r.hits.iter().all(|h| h.entity_id != Value::Int(103)));
+
+        // New text on a course outside the result set (without the query
+        // term, so it stays outside) shifts the corpus statistics every
+        // cloud term is ranked against.
+        c.db.insert_comment(&comment(
+            96,
+            103,
+            "compilers compilers algorithms algorithms",
+        ))
+        .unwrap();
+        assert!(c.reindex_course(103).unwrap());
+        let (_, r, served) = c.search_with_cloud("programming", None, 10).unwrap();
+        let cold = compute_cloud(
+            &c.engine.corpus().index,
+            &r.matched_docs,
+            &r.query.terms,
+            &c.cloud_config,
+        );
+        assert_eq!(cloud_bits(&served), cloud_bits(&cold));
+        assert_ne!(
+            cloud_bits(&served),
+            cloud_bits(&memo),
+            "the reindex must move some score, or this test proves nothing"
+        );
+    }
+
     #[test]
     fn cloud_cache_spares_nonmember_reindex_and_deltas_member() {
         let mut c = cloud();
@@ -573,7 +760,7 @@ mod tests {
         let stats = c.cloud_cache.entry_stats();
         assert!(stats[0].3 >= 1, "expected spared entry: {stats:?}");
         // Warm hit; the in-test oracle inside cloud_cached asserts the
-        // served aggregates match a cold aggregation bit for bit.
+        // served aggregates and cloud match a cold computation bit for bit.
         let (_, r, _) = c.search_with_cloud("castles", None, 10).unwrap();
         assert_eq!(r.total, 1);
 

@@ -12,30 +12,21 @@
 //!   ratio comparing each term's frequency inside the result set against
 //!   the rest of the corpus; surfaces terms *characteristic of the result
 //!   set*, not merely frequent ones.
-//! * [`TermScorer::TfIdf`] — aggregate tf × idf; cheaper, more
-//!   frequency-driven.
+//! * [`TermScorer::TfIdf`] — aggregate tf × idf; more frequency-driven,
+//!   and it pays a postings walk per term for the corpus doc frequency.
 //! * Exact aggregation over the full result set, or a sampled
 //!   approximation over the top-K scored documents (the "efficiently"
 //!   half of the question; ablation A1 in DESIGN.md benchmarks the
 //!   trade-off).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
 
 use crate::index::{DocId, InvertedIndex};
 use crate::score::idf;
 
-/// Below this many result docs, sharded aggregation is pure overhead.
-const PARALLEL_CLOUD_MIN_DOCS: usize = 256;
-
-/// One aggregation shard's output: term → (tf, df), plus the shard's
-/// total token count.
+/// Term aggregates over a result set: term → (tf, df), plus the total
+/// token count.
 type TermAgg<'a> = (HashMap<&'a str, (u64, usize)>, u64);
-
-fn cloud_shard_counter() -> &'static Arc<cr_obs::Counter> {
-    static C: OnceLock<Arc<cr_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| cr_obs::Registry::global().counter("textsearch.shards_spawned"))
-}
 
 /// Which statistic ranks cloud terms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,10 +67,6 @@ pub struct CloudConfig {
     /// bigrams exist), displacing the lowest-scored unigrams — Figure 3's
     /// cloud always shows phrases ("Latin American", "African American").
     pub min_bigrams: usize,
-    /// Worker threads for sharding term aggregation over large result
-    /// sets (1 = serial). Per-shard tallies merge with integer adds, so
-    /// the cloud is identical either way.
-    pub parallelism: usize,
 }
 
 impl Default for CloudConfig {
@@ -93,7 +80,6 @@ impl Default for CloudConfig {
             bigram_cohesion: 0.03,
             bigram_boost: 2.0,
             min_bigrams: 4,
-            parallelism: 1,
         }
     }
 }
@@ -227,51 +213,11 @@ fn sample<'a>(results: &'a [DocId], config: &CloudConfig) -> &'a [DocId] {
     }
 }
 
-/// Aggregate term frequencies across `docs` from the forward index,
-/// sharding large sets across worker threads.
-fn aggregate<'a>(index: &'a InvertedIndex, docs: &[DocId], config: &CloudConfig) -> TermAgg<'a> {
-    let shards = if config.parallelism > 1 && docs.len() >= PARALLEL_CLOUD_MIN_DOCS {
-        config.parallelism
-    } else {
-        1
-    };
-    if shards <= 1 {
-        return aggregate_terms(index, docs);
-    }
-    let parts: Vec<TermAgg> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..shards)
-            .map(|p| {
-                let lo = p * docs.len() / shards;
-                let hi = (p + 1) * docs.len() / shards;
-                let chunk = &docs[lo..hi];
-                s.spawn(move |_| aggregate_terms(index, chunk))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cloud shard panicked"))
-            .collect()
-    })
-    .expect("cloud shard scope");
-    cloud_shard_counter().add(shards as u64);
-    let mut it = parts.into_iter();
-    let (mut agg, mut total) = it.next().expect("at least one shard");
-    for (part, part_total) in it {
-        total += part_total;
-        for (term, (tf, df)) in part {
-            let slot = agg.entry(term).or_insert((0, 0));
-            slot.0 += tf;
-            slot.1 += df;
-        }
-    }
-    (agg, total)
-}
-
 /// The aggregation half of [`compute_cloud`], with owned terms — the
 /// cacheable/maintainable intermediate.
 pub fn aggregate_cloud(index: &InvertedIndex, results: &[DocId], config: &CloudConfig) -> CloudAgg {
     let docs = sample(results, config);
-    let (agg, token_total) = aggregate(index, docs, config);
+    let (agg, token_total) = aggregate_terms(index, docs);
     CloudAgg {
         terms: agg.into_iter().map(|(t, v)| (t.to_owned(), v)).collect(),
         token_total,
@@ -313,7 +259,7 @@ pub fn compute_cloud(
     if docs.is_empty() {
         return DataCloud::default();
     }
-    let (agg, result_token_total) = aggregate(index, docs, config);
+    let (agg, result_token_total) = aggregate_terms(index, docs);
     score_with_fallback(
         index,
         &agg,
@@ -385,9 +331,9 @@ fn score_cloud<K: std::borrow::Borrow<str> + Eq + std::hash::Hash>(
         if excluded.contains(&term) || term.split(' ').all(|part| excluded.contains(&part)) {
             continue;
         }
-        let corpus_df = index.doc_freq(term);
         let score = match config.scorer {
-            TermScorer::TfIdf => *tf as f64 * idf(corpus_docs, corpus_df),
+            // `doc_freq` walks the term's postings list; only TF-IDF reads it.
+            TermScorer::TfIdf => *tf as f64 * idf(corpus_docs, index.doc_freq(term)),
             TermScorer::LogLikelihood => {
                 // Exact 2×2 contingency: term occurrences inside vs
                 // outside the result set.
@@ -716,45 +662,6 @@ mod tests {
             },
         );
         assert!(!cloud.terms.is_empty());
-    }
-
-    #[test]
-    fn sharded_aggregation_matches_serial() {
-        let mut ix = InvertedIndex::new(
-            Analyzer::new(),
-            vec![FieldSpec {
-                name: "body".into(),
-                weight: 1.0,
-            }],
-        );
-        let b = ix.field_id("body").unwrap();
-        let mut results = Vec::new();
-        for i in 0..400 {
-            let text = format!(
-                "american politics seminar {} federal policy topic{}",
-                i,
-                i % 7
-            );
-            results.push(ix.add_document(&[(b, text.as_str())]));
-        }
-        let serial = compute_cloud(&ix, &results, &[], &CloudConfig::default());
-        let sharded = compute_cloud(
-            &ix,
-            &results,
-            &[],
-            &CloudConfig {
-                parallelism: 4,
-                ..CloudConfig::default()
-            },
-        );
-        assert_eq!(serial.docs_aggregated, sharded.docs_aggregated);
-        assert_eq!(serial.terms.len(), sharded.terms.len());
-        for (a, b) in serial.terms.iter().zip(&sharded.terms) {
-            assert_eq!(a.term, b.term);
-            assert_eq!(a.result_tf, b.result_tf);
-            assert_eq!(a.result_doc_freq, b.result_doc_freq);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
     }
 
     #[test]
